@@ -19,11 +19,10 @@ Commands:
 * ``chaos``       — crash-recovery proof: run a scenario straight, then
   SIGKILL an identical run right after a seeded checkpoint, resume it,
   and require byte-identical results.
-* ``lint``        — determinism linter (``repro.simlint``): SIM1xx file
-  rules plus the SIM2xx whole-program shard-safety rules; nonzero exit
-  on violations (the CI gate).  ``--fix`` applies mechanical rewrites,
-  ``--diff BASE`` lints only changed files, ``--baseline FILE``
-  subtracts recorded findings.
+* ``lint``        — determinism linter (``repro.simlint``): the SIM1xx
+  rules; nonzero exit on violations (the CI gate).  ``--fix`` applies
+  mechanical rewrites, ``--diff BASE`` lints only changed files,
+  ``--baseline FILE`` subtracts recorded findings.
 * ``verify-determinism`` — execute the determinism contract: one config
   twice (first diverging trace event on mismatch) and a figure2 sweep
   at ``--jobs 1`` vs ``--jobs N`` (rows must be byte-identical).
@@ -75,10 +74,6 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
                         default="mixed")
     parser.add_argument("--payload", type=int, default=512,
                         help="UDP-PLAIN payload size (bytes)")
-    parser.add_argument("--scheduler", choices=("heap", "calendar"),
-                        default="heap",
-                        help="event scheduler (identical results, "
-                             "different speed)")
     parser.add_argument("--train", type=int, default=1,
                         help="flood packet-train size (1 = exact "
                              "per-packet datapath)")
@@ -91,10 +86,6 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--faults",
                         help="JSON fault plan to arm against the run "
                              "(see repro.faults.FaultPlan)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="partition this ONE run across N processes "
-                             "(repro.netsim.shard); results are byte-"
-                             "identical to --shards 1")
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
@@ -110,7 +101,6 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
             binary_mix=args.binary_mix,
             attack_payload_size=args.payload,
             sim_duration=max(600.0, args.duration + 150.0),
-            scheduler=args.scheduler,
             flood_train=args.train,
             flood_flow=args.flow,
         )
@@ -260,55 +250,21 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             config = _config_from_args(args)
-            shards = getattr(args, "shards", 1) or 1
-            if shards > 1:
-                from repro.checkpoint import DEFAULT_CHECKPOINT_DIR
-                from repro.netsim.shard import run_sharded
+            ddosim = DDoSim(config, observatory=observatory)
+            if checkpoint_every:
+                from repro.checkpoint import (
+                    DEFAULT_CHECKPOINT_DIR,
+                    CheckpointWriter,
+                )
 
-                if trace_out:
-                    print(
-                        "error: --shards cannot be combined with "
-                        "--trace-out (the tracer is per-process; run "
-                        "--shards 1 for traces — results are identical)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                sharded = run_sharded(
-                    config, shards,
-                    observatory=observatory,
-                    checkpoint_dir=(
-                        (getattr(args, "checkpoint_dir", None)
-                         or DEFAULT_CHECKPOINT_DIR)
-                        if checkpoint_every else None
-                    ),
-                    checkpoint_every=checkpoint_every,
+                writer = CheckpointWriter(
+                    getattr(args, "checkpoint_dir", None)
+                    or DEFAULT_CHECKPOINT_DIR,
+                    checkpoint_every,
                     kill_after=getattr(args, "kill_after_checkpoint", None),
                 )
-                ddosim, result = sharded.ddosim, sharded.result
-                stats = sharded.stats
-                print(
-                    f"sharded: {stats['workers']} worker(s), "
-                    f"{stats['sync_rounds']} sync rounds, "
-                    f"{stats['handoffs_up'] + stats['handoffs_down']} "
-                    f"cross-shard hand-offs",
-                    file=sys.stderr,
-                )
-            else:
-                ddosim = DDoSim(config, observatory=observatory)
-                if checkpoint_every:
-                    from repro.checkpoint import (
-                        DEFAULT_CHECKPOINT_DIR,
-                        CheckpointWriter,
-                    )
-
-                    writer = CheckpointWriter(
-                        getattr(args, "checkpoint_dir", None)
-                        or DEFAULT_CHECKPOINT_DIR,
-                        checkpoint_every,
-                        kill_after=getattr(args, "kill_after_checkpoint", None),
-                    )
-                    writer.arm(ddosim)
-                result = ddosim.run()
+                writer.arm(ddosim)
+            result = ddosim.run()
     except KeyboardInterrupt:
         if ddosim is not None:
             _dump_interrupt(ddosim)
@@ -532,15 +488,10 @@ def _chaos_run_flags(args: argparse.Namespace) -> List[str]:
         "--devs", str(args.devs), "--seed", str(args.seed),
         "--churn", args.churn, "--duration", str(args.duration),
         "--binary-mix", args.binary_mix, "--payload", str(args.payload),
-        "--scheduler", args.scheduler, "--train", str(args.train),
-        "--flow", args.flow,
+        "--train", str(args.train), "--flow", args.flow,
     ]
     if getattr(args, "faults", None):
         flags += ["--faults", args.faults]
-    if getattr(args, "shards", 1) and args.shards > 1:
-        # The resume leg needs no flag: resume_run reads the shard count
-        # out of the checkpoint payload and replays at that partitioning.
-        flags += ["--shards", str(args.shards)]
     return flags
 
 
@@ -712,7 +663,6 @@ def cmd_verify_determinism(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         flow=args.flow,
         resume=args.resume,
-        shards=getattr(args, "shards", 0) or 0,
     )
     if args.format == "json":
         print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -907,8 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = commands.add_parser(
         "lint",
-        help="determinism + shard-safety linter (SIM1xx/SIM2xx; "
-             "repro.simlint)",
+        help="determinism linter (SIM1xx; repro.simlint)",
     )
     lint_parser.add_argument("paths", nargs="*", default=["src/repro"],
                              help="files/directories to lint "
@@ -955,11 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "equivalence: checkpoint a run, "
                                     "resume it, compare result + metrics "
                                     "byte-for-byte")
-    verify_parser.add_argument("--shards", type=int, default=0, metavar="N",
-                               help="also prove sharded-engine parity: "
-                                    "one run partitioned across N worker "
-                                    "processes must produce byte-"
-                                    "identical result + metrics")
     verify_parser.add_argument("--format", choices=("text", "json"),
                                default="text")
     verify_parser.set_defaults(func=cmd_verify_determinism)

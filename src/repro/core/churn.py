@@ -165,21 +165,11 @@ class DynamicChurn(_ChurnBase):
         self._running = False
 
     def start(self, sim, set_device_online: Callable[[int, bool], None],
-              until: float, neutral: bool = False) -> None:
-        """Schedule epochs every ``interval`` seconds until ``until``.
-
-        ``neutral`` marks the epoch events as replicated bookkeeping for
-        the sharded engine: every rank runs the same churn schedule (the
-        draws are replicated, so link states agree), but only the primary
-        rank's events may count toward ``events_executed`` — neutral
-        epochs subtract themselves back out so the executed-event total
-        stays byte-identical to a single-process run.
-        """
+              until: float) -> None:
+        """Schedule epochs every ``interval`` seconds until ``until``."""
         self._running = True
 
         def epoch() -> None:
-            if neutral:
-                sim.events_executed -= 1
             if not self._running or sim.now > until:
                 return
             self.step(sim, set_device_online)

@@ -70,10 +70,6 @@ FAULT_KINDS = (
 _LINK_KINDS = (FAULT_LINK_DOWN, FAULT_LINK_FLAP, FAULT_LINK_DEGRADE, FAULT_PARTITION)
 #: kinds whose target resolves to a container
 _CONTAINER_KINDS = (FAULT_CRASH, FAULT_CRASH_RESTART, FAULT_MEMORY_KILL)
-#: kinds whose *action* mutates rank-owned state under the sharded
-#: engine (containers, the C&C daemon, the sink); link kinds replicate
-#: cleanly on every rank and are never gated
-_GATED_KINDS = _CONTAINER_KINDS + (FAULT_CNC_OUTAGE, FAULT_SINK_STALL)
 
 
 class FaultPlanError(ValueError):
@@ -254,18 +250,6 @@ class FaultInjector:
         self.static_churn = None
         self.dynamic_churn = None
         self._armed = False
-        #: sharded engine (repro.netsim.shard): on replica ranks the
-        #: injector's events are *neutral* — every rank replays the same
-        #: schedule and log (state-free draws happen at arm() time), but
-        #: replicated events subtract themselves from events_executed so
-        #: only the primary rank's count survives the merge.
-        self.event_neutral = False
-        #: sharded engine: ``action_gate(kind, target_name) -> bool``
-        #: decides whether THIS rank performs a gated kind's state
-        #: mutation (container stop/restart, C&C kill, sink stall).  The
-        #: record/log always replays on every rank; only the mutation is
-        #: owner-gated.  None (single-process) performs everything.
-        self.action_gate = None
 
     def checkpoint_state(self) -> dict:
         """Deterministic injection progress for checkpoint fingerprints
@@ -358,20 +342,12 @@ class FaultInjector:
             self.static_churn = StaticChurn(
                 ddosim.config.n_devs, churn_rng, tuple(spec.phi)
             )
-            if self.event_neutral:
-                def apply_neutral() -> None:
-                    ddosim.sim.events_executed -= 1
-                    self.static_churn.apply(
-                        ddosim.sim, ddosim.devs.set_device_online
-                    )
-                ddosim.sim.schedule(0.05, apply_neutral)
-            else:
-                ddosim.sim.schedule(
-                    0.05,
-                    self.static_churn.apply,
-                    ddosim.sim,
-                    ddosim.devs.set_device_online,
-                )
+            ddosim.sim.schedule(
+                0.05,
+                self.static_churn.apply,
+                ddosim.sim,
+                ddosim.devs.set_device_online,
+            )
         else:
             self.dynamic_churn = DynamicChurn(
                 ddosim.config.n_devs,
@@ -384,7 +360,6 @@ class FaultInjector:
                 ddosim.sim,
                 ddosim.devs.set_device_online,
                 until=ddosim.config.sim_duration,
-                neutral=self.event_neutral,
             )
 
     # ------------------------------------------------------------------
@@ -419,24 +394,10 @@ class FaultInjector:
                 # delta since the previous dump.
                 recorder.dump(f"fault.{spec.kind}", sim.now, target=name)
 
-    def _acts(self, kind: str, name: str) -> bool:
-        """Whether THIS rank performs the state mutation for a fault.
-
-        Link-kind faults mutate replicated topology state and always act;
-        gated kinds (containers, C&C, sink) act only where the target is
-        owned.  The schedule, log, and clear events replay identically on
-        every rank regardless — only the mutation itself is skipped."""
-        if self.action_gate is None or kind not in _GATED_KINDS:
-            return True
-        return self.action_gate(kind, name)
-
     def _inject(self, spec: FaultSpec, name: str, obj) -> None:
-        if self.event_neutral:
-            self.ddosim.sim.events_executed -= 1
         self._record(spec, name, "inject")
         sim = self.ddosim.sim
         kind = spec.kind
-        acts = self._acts(kind, name)
         if kind in (FAULT_LINK_DOWN, FAULT_LINK_FLAP):
             obj.set_admin_up(False)
             if spec.duration > 0:
@@ -455,37 +416,29 @@ class FaultInjector:
             if spec.duration > 0:
                 sim.schedule(spec.duration, self._clear, spec, name, obj)
         elif kind == FAULT_CRASH:
-            if acts:
-                self.ddosim.runtime.stop(obj)
+            self.ddosim.runtime.stop(obj)
         elif kind == FAULT_CRASH_RESTART:
-            if acts:
-                self.ddosim.runtime.stop(obj)
+            self.ddosim.runtime.stop(obj)
             sim.schedule(spec.restart_after, self._clear, spec, name, obj)
         elif kind == FAULT_MEMORY_KILL:
-            if acts:
-                victims = obj.live_processes()
-                if victims:
-                    max(victims, key=lambda p: (p.rss_bytes, p.pid)).kill()
+            victims = obj.live_processes()
+            if victims:
+                max(victims, key=lambda p: (p.rss_bytes, p.pid)).kill()
         elif kind == FAULT_CNC_OUTAGE:
-            if acts:
-                attacker = self.ddosim.attacker
-                if attacker.container is not None:
-                    for process in attacker.container.find_processes("cnc"):
-                        process.kill()
+            attacker = self.ddosim.attacker
+            if attacker.container is not None:
+                for process in attacker.container.find_processes("cnc"):
+                    process.kill()
             if spec.duration > 0:
                 sim.schedule(spec.duration, self._clear, spec, name, obj)
         elif kind == FAULT_SINK_STALL:
-            if acts:
-                self.ddosim.tserver.sink.stop()
+            self.ddosim.tserver.sink.stop()
             if spec.duration > 0:
                 sim.schedule(spec.duration, self._clear, spec, name, obj)
 
     def _clear(self, spec: FaultSpec, name: str, obj) -> None:
-        if self.event_neutral:
-            self.ddosim.sim.events_executed -= 1
         self._record(spec, name, "clear")
         kind = spec.kind
-        acts = self._acts(kind, name)
         if kind in (FAULT_LINK_DOWN, FAULT_LINK_FLAP):
             obj.set_admin_up(True)
         elif kind == FAULT_PARTITION:
@@ -496,13 +449,10 @@ class FaultInjector:
                 obj.host_device.clear_data_rate_override()
                 obj.router_device.clear_data_rate_override()
         elif kind == FAULT_CRASH_RESTART:
-            if acts:
-                self.ddosim.runtime.restart(obj)
+            self.ddosim.runtime.restart(obj)
         elif kind == FAULT_CNC_OUTAGE:
-            if acts:
-                attacker = self.ddosim.attacker
-                if attacker.container is not None and attacker.container.state == "running":
-                    attacker.container.exec_run(["/usr/sbin/cnc"])
+            attacker = self.ddosim.attacker
+            if attacker.container is not None and attacker.container.state == "running":
+                attacker.container.exec_run(["/usr/sbin/cnc"])
         elif kind == FAULT_SINK_STALL:
-            if acts:
-                self.ddosim.tserver.sink.start()
+            self.ddosim.tserver.sink.start()

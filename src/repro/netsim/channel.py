@@ -57,10 +57,6 @@ class PointToPointChannel(Channel):
         self._base_delay = delay
         self._base_loss_rate = loss_rate
         self._base_rng = rng
-        #: sharded-engine hook (repro.netsim.shard): when set, packets
-        #: leaving this channel toward a remote shard are handed to the
-        #: bridge instead of being scheduled locally.
-        self.shard_bridge = None
         self.packets_carried = 0
         self.packets_lost = 0
         obs = sim.obs
@@ -177,13 +173,5 @@ class PointToPointChannel(Channel):
             # each member's arrival with the exact op sequence the
             # per-packet path uses (completion + delay, one add).
             packet.link_delay = self.delay
-        bridge = self.shard_bridge
-        if bridge is not None:
-            # Sharded engine: the peer lives in another process.  All
-            # sender-side accounting above already ran; the bridge ships
-            # the packet (with its stamped train metadata) to the owning
-            # shard, which schedules the receive at now + delay.
-            bridge.carry(self, sender, packet)
-            return
         # Receive events are never cancelled: fire-and-forget freelist path.
         self.sim.schedule_bare(self.delay, peer.receive, packet)

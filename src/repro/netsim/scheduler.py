@@ -1,29 +1,16 @@
-"""Pluggable event schedulers for the discrete-event simulator.
+"""The event queue behind the discrete-event simulator.
 
-NS-3 ships several ``Scheduler`` implementations (binary heap, linked
-list, calendar queue, ...) behind one interface because no single
-structure wins every workload: a binary heap is O(log n) everywhere,
-while a calendar queue (Brown 1988, the NS-3 ``CalendarScheduler``) is
-amortized O(1) when event times are roughly uniform — exactly the shape
-of a flood run, where thousands of paced emitters schedule into a narrow
-sliding window of virtual time.
+:class:`HeapScheduler` is a ``heapq`` binary heap ordered by the full
+``(time, seq)`` event key, so equal-time events fire in FIFO scheduling
+order and runs are deterministic.  :class:`repro.netsim.simulator.
+Simulator` inlines its hot loop over the backing list; any object with
+the same methods (``push``, ``peek``, ``pop_next``,
+``drop_cancelled_head``, ``remove_cancelled``, ``events``) can stand in
+for it, e.g. :class:`repro.simlint.runtime.TieBreakAuditor`.
 
-This module provides the same choice for :class:`repro.netsim.simulator.
-Simulator`:
-
-* :class:`HeapScheduler` — the default ``heapq`` binary heap (the seed
-  behaviour; the simulator inlines its hot loop).
-* :class:`CalendarScheduler` — bucketed calendar queue with automatic
-  resize and width re-estimation.
-
-Both order events by the full ``(time, seq)`` key, so **any** scheduler
-produces the identical event sequence for the same workload — runs are
-deterministic and scheduler choice is purely a performance knob
-(asserted by ``tests/test_scheduler.py``).
-
-Schedulers store, but do not interpret, cancelled events: cancellation
+The queue stores, but does not interpret, cancelled events: cancellation
 is a tombstone flag on the event; the simulator accounts live counts and
-asks the scheduler to :meth:`~HeapScheduler.remove_cancelled` when
+asks the queue to :meth:`~HeapScheduler.remove_cancelled` when
 tombstones pile up (heavy retransmit/churn cancellation would otherwise
 bloat the queue).
 """
@@ -31,12 +18,7 @@ bloat the queue).
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from typing import List, Optional
-
-#: registered scheduler names (the ``SimulationConfig.scheduler`` /
-#: ``repro run --scheduler`` choices)
-SCHEDULER_NAMES = ("heap", "calendar")
 
 
 class HeapScheduler:
@@ -95,177 +77,3 @@ class HeapScheduler:
         """Every queued event, tombstones included, in no particular
         order (checkpoint fingerprints sort by the (time, seq) key)."""
         return iter(self._heap)
-
-
-class CalendarScheduler:
-    """NS-3-style calendar queue: an array of time buckets.
-
-    Events hash into ``bucket = floor(time / width) % n_buckets``; each
-    bucket keeps its events sorted.  A cursor walks the buckets in
-    "year" order (one year = ``n_buckets * width`` of virtual time), so
-    with a well-chosen width both push and pop touch O(1) events.  The
-    queue resizes (doubling/halving buckets, re-estimating the width
-    from observed event spacing) as the population grows and shrinks.
-
-    Ordering is the full ``(time, seq)`` event key: equal times always
-    land in the same bucket, where ``insort`` keeps FIFO tie order —
-    the dequeue sequence is bit-identical to :class:`HeapScheduler`.
-    """
-
-    name = "calendar"
-
-    __slots__ = ("_buckets", "_n", "_width", "_count", "_vbucket", "_min_n")
-
-    def __init__(self, width: float = 0.001, n_buckets: int = 32) -> None:
-        if width <= 0:
-            raise ValueError("bucket width must be positive")
-        if n_buckets < 2:
-            raise ValueError("need at least two buckets")
-        self._min_n = n_buckets
-        self._n = n_buckets
-        self._buckets: List[List] = [[] for _ in range(n_buckets)]
-        self._width = width
-        self._count = 0
-        #: virtual (un-wrapped) bucket index of the scan cursor; events
-        #: are never scheduled before the last dequeued time, so the
-        #: cursor only moves forward.
-        self._vbucket = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    # ------------------------------------------------------------------
-    # Core operations
-    # ------------------------------------------------------------------
-    def push(self, event) -> None:
-        index = int(event.time / self._width) % self._n
-        insort(self._buckets[index], event)
-        self._count += 1
-        if self._count > (self._n << 1):
-            self._resize(self._n << 1)
-
-    def _find_next(self):
-        """(bucket_list, event, vbucket) of the earliest event, or None.
-
-        Scans at most one full year from the cursor; if every queued
-        event lies further out (sparse far-future tail), falls back to a
-        direct min scan over bucket heads.
-        """
-        if self._count == 0:
-            return None
-        buckets = self._buckets
-        n = self._n
-        width = self._width
-        vbucket = self._vbucket
-        for _ in range(n):
-            bucket = buckets[vbucket % n]
-            if bucket:
-                event = bucket[0]
-                # One multiply, no accumulated float drift: an event
-                # belongs to virtual bucket floor(time/width).
-                if event.time < (vbucket + 1) * width:
-                    return bucket, event, vbucket
-            vbucket += 1
-        # Nothing within a year of the cursor: direct search.
-        best = None
-        for bucket in buckets:
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        assert best is not None  # count > 0 guarantees it
-        return buckets[int(best.time / width) % n], best, int(best.time / width)
-
-    def peek(self):
-        """Earliest event (cancelled included), or None when empty."""
-        found = self._find_next()
-        if found is None:
-            return None
-        _bucket, event, vbucket = found
-        self._vbucket = vbucket  # cursor advance over empty buckets is free
-        return event
-
-    def pop_next(self, limit: Optional[float] = None):
-        """Pop and return the earliest event, or None when the queue is
-        empty or the earliest event lies beyond ``limit``."""
-        found = self._find_next()
-        if found is None:
-            return None
-        bucket, event, vbucket = found
-        self._vbucket = vbucket
-        if limit is not None and event.time > limit:
-            return None
-        bucket.pop(0)
-        self._count -= 1
-        if self._count < (self._n >> 2) and self._n > self._min_n:
-            self._resize(max(self._n >> 1, self._min_n))
-        return event
-
-    def drop_cancelled_head(self) -> int:
-        """Discard cancelled events at the front; returns how many."""
-        removed = 0
-        while True:
-            found = self._find_next()
-            if found is None or not found[1].cancelled:
-                return removed
-            bucket, _event, vbucket = found
-            self._vbucket = vbucket
-            bucket.pop(0)
-            self._count -= 1
-            removed += 1
-
-    def remove_cancelled(self) -> int:
-        """Compaction: drop every cancelled tombstone; returns how many."""
-        removed = 0
-        for bucket in self._buckets:
-            before = len(bucket)
-            bucket[:] = [event for event in bucket if not event.cancelled]
-            removed += before - len(bucket)
-        self._count -= removed
-        return removed
-
-    def events(self):
-        """Every queued event, tombstones included, in no particular
-        order (checkpoint fingerprints sort by the (time, seq) key)."""
-        for bucket in self._buckets:
-            for event in bucket:
-                yield event
-
-    # ------------------------------------------------------------------
-    # Resizing
-    # ------------------------------------------------------------------
-    def _estimate_width(self, events) -> float:
-        """New bucket width from the spacing of the nearest events —
-        aim for ~1 event per bucket near the head of the queue."""
-        sample = events[: min(len(events), 64)]
-        gaps = [
-            later.time - earlier.time
-            for earlier, later in zip(sample, sample[1:])
-            if later.time > earlier.time
-        ]
-        if not gaps:
-            return self._width
-        mean_gap = sum(gaps) / len(gaps)
-        # Brown's heuristic: a few mean gaps per bucket.
-        return max(mean_gap * 2.0, 1e-9)
-
-    def _resize(self, n_buckets: int) -> None:
-        events = [event for bucket in self._buckets for event in bucket]
-        events.sort()
-        self._width = self._estimate_width(events)
-        self._n = n_buckets
-        self._buckets = [[] for _ in range(n_buckets)]
-        width = self._width
-        for event in events:
-            self._buckets[int(event.time / width) % n_buckets].append(event)
-        # Rebucketed events arrive pre-sorted, so each bucket stays sorted.
-        self._vbucket = int(events[0].time / width) if events else 0
-
-
-def make_scheduler(name: str):
-    """Instantiate a scheduler by registry name (``SCHEDULER_NAMES``)."""
-    if name == "heap":
-        return HeapScheduler()
-    if name == "calendar":
-        return CalendarScheduler()
-    raise ValueError(
-        f"unknown scheduler {name!r}; choose from {SCHEDULER_NAMES}"
-    )

@@ -2,10 +2,9 @@
 
 This is the heart of the NS-3 substitute.  NS-3 runs a single-threaded
 event loop over a priority queue of (time, uid) ordered events; we do the
-same, behind a pluggable scheduler (:mod:`repro.netsim.scheduler`): the
-default binary heap, or an NS-3-style calendar queue that floods prefer.
-Everything else in ``repro`` — links, transports, containers, binaries,
-the botnet — schedules callbacks here.
+same over a binary heap (:mod:`repro.netsim.scheduler`).  Everything else
+in ``repro`` — links, transports, containers, binaries, the botnet —
+schedules callbacks here.
 
 The scheduler is deliberately minimal and fast: DDoS-flood experiments
 push millions of events through it, so the hot path cuts allocation two
@@ -25,9 +24,9 @@ from __future__ import annotations
 
 import time
 from heapq import heappop
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
-from repro.netsim.scheduler import HeapScheduler, make_scheduler
+from repro.netsim.scheduler import HeapScheduler
 from repro.obs.observatory import NULL_OBSERVATORY
 from repro.obs.profiler import site_of
 
@@ -87,24 +86,22 @@ class Simulator:
 
     Usage::
 
-        sim = Simulator()                      # default binary heap
-        sim = Simulator(scheduler="calendar")  # NS-3-style calendar queue
+        sim = Simulator()
         sim.schedule(1.0, lambda: print("one second"))
         sim.run(until=10.0)
 
     Events scheduled for the same instant fire in FIFO scheduling order
     (ties broken by a monotonically increasing sequence number), matching
-    NS-3 semantics and making runs fully deterministic — for *every*
-    scheduler choice, which is purely a performance knob.
+    NS-3 semantics and making runs fully deterministic.  ``scheduler``
+    replaces the default :class:`HeapScheduler` with any object speaking
+    its protocol (e.g. a :class:`repro.simlint.runtime.TieBreakAuditor`);
+    the run then takes the generic loop instead of the inlined heap one.
     """
 
-    def __init__(self, scheduler: Union[str, object] = "heap") -> None:
+    def __init__(self, scheduler: Optional[object] = None) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        if isinstance(scheduler, str):
-            self._sched = make_scheduler(scheduler)
-        else:
-            self._sched = scheduler
+        self._sched = HeapScheduler() if scheduler is None else scheduler
         # The default heap's hot loop is inlined over its backing list.
         self._heap = self._sched._heap if isinstance(self._sched, HeapScheduler) else None
         self._running = False
@@ -142,7 +139,7 @@ class Simulator:
 
     @property
     def scheduler_name(self) -> str:
-        """Registry name of the active scheduler (``SCHEDULER_NAMES``)."""
+        """Name of the active scheduler (``"heap"`` by default)."""
         return getattr(self._sched, "name", type(self._sched).__name__)
 
     # ------------------------------------------------------------------
@@ -292,7 +289,7 @@ class Simulator:
             callback(*args)
 
     def _run_generic(self, until: Optional[float]) -> None:
-        """Scheduler-agnostic loop (calendar queue and custom schedulers)."""
+        """Scheduler-agnostic loop (wrapped or custom schedulers)."""
         sched = self._sched
         free = self._free
         while not self._stopped:
@@ -355,108 +352,6 @@ class Simulator:
                 profiler.record(callback, perf() - started)
             else:
                 callback(*args)
-
-    def advance_until(self, bound: float, inclusive: bool = False) -> int:
-        """Execute pending events up to a virtual-time ``bound`` and return.
-
-        The conservative sharded engine (:mod:`repro.netsim.shard`) drives
-        each shard's simulator in externally-granted time windows; this is
-        the window-execution primitive.  It differs from :meth:`run` in
-        three deliberate ways:
-
-        * **Boundary**: events strictly before ``bound`` fire; an event at
-          exactly ``bound`` fires only when ``inclusive`` is true.  (The
-          window protocol uses exclusive bounds so an event *at* the next
-          synchronisation horizon waits for cross-shard traffic that may
-          arrive at that same instant; the final window is inclusive to
-          match :meth:`run`'s ``until`` semantics.)
-        * **Clock**: the clock is *not* advanced to ``bound`` when the
-          queue runs dry early — ``now`` stays at the last executed event
-          so lookahead horizons reflect real local progress.
-        * **Re-entrancy**: callable repeatedly; ``stop()`` state persists
-          across calls (a stopped simulator executes nothing).
-
-        Returns the number of events executed by this call.
-        """
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        try:
-            if self._heap is not None and not self.obs.instrumented:
-                return self._advance_heap(bound, inclusive)
-            return self._advance_generic(bound, inclusive)
-        except Exception:
-            recorder = getattr(self.obs, "recorder", None)
-            if recorder is not None and recorder.enabled:
-                recorder.dump("sim.exception", self._now)
-            raise
-        finally:
-            self._running = False
-
-    def _advance_heap(self, bound: float, inclusive: bool) -> int:
-        """Window loop for the default binary-heap scheduler."""
-        heap = self._heap
-        free = self._free
-        strict = not inclusive
-        executed = 0
-        while heap and not self._stopped:
-            event = heap[0]
-            t = event.time
-            if t > bound or (strict and t == bound):
-                break
-            heappop(heap)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = t
-            self._live -= 1
-            self.events_executed += 1
-            executed += 1
-            callback = event.callback
-            args = event.args
-            if event.recycle:
-                event.callback = event.args = None
-                free.append(event)
-            else:
-                event._sim = None
-            callback(*args)
-        return executed
-
-    def _advance_generic(self, bound: float, inclusive: bool) -> int:
-        """Scheduler-agnostic window loop (peek, then inclusive pop at the
-        peeked time — ``pop_next(limit)`` alone cannot express an
-        exclusive bound)."""
-        sched = self._sched
-        free = self._free
-        strict = not inclusive
-        executed = 0
-        while not self._stopped:
-            self._tombstones -= sched.drop_cancelled_head()
-            head = sched.peek()
-            if head is None:
-                break
-            t = head.time
-            if t > bound or (strict and t == bound):
-                break
-            event = sched.pop_next(t)
-            if event is None:  # pragma: no cover - peek guarantees one
-                break
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = event.time
-            self._live -= 1
-            self.events_executed += 1
-            executed += 1
-            callback = event.callback
-            args = event.args
-            if event.recycle:
-                event.callback = event.args = None
-                free.append(event)
-            else:
-                event._sim = None
-            callback(*args)
-        return executed
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""

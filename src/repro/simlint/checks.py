@@ -429,12 +429,8 @@ def check_unused_imports(tree: ast.AST, ctx: CheckContext) -> None:
 
 
 def run_checks(tree: ast.AST, ctx: CheckContext, codes: List[str]) -> None:
-    """Run the selected file-scope rules (import side effect: registry
-    is full).  Project-scope rules need the whole-program index and run
-    from the engine's project pass instead."""
+    """Run the selected rules (import side effect: registry is full)."""
     from repro.simlint.rules import REGISTRY
 
     for code in codes:
-        entry = REGISTRY[code]
-        if entry.scope == "file":
-            entry.check(tree, ctx)
+        REGISTRY[code].check(tree, ctx)

@@ -21,9 +21,9 @@ from typing import Dict, List
 from repro.simlint.rules import REGISTRY, Violation
 
 #: bump when the JSON document shape changes.
-#: 2: rule entries grew ``scope`` (file vs project) with the SIM2xx
-#: shard-safety family; version-1 documents no longer load.
-SCHEMA_VERSION = 2
+#: 3: rule entries dropped ``scope`` (every rule is per-file);
+#: older documents no longer load.
+SCHEMA_VERSION = 3
 
 
 def format_text(violations: List[Violation]) -> str:
@@ -54,8 +54,7 @@ def to_json_document(violations: List[Violation]) -> dict:
         "schema_version": SCHEMA_VERSION,
         "tool": "repro.simlint",
         "rules": {
-            code: {"name": rule.name, "summary": rule.summary,
-                   "scope": rule.scope}
+            code: {"name": rule.name, "summary": rule.summary}
             for code, rule in sorted(REGISTRY.items())
         },
         "counts": _tally(violations),

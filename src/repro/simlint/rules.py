@@ -24,19 +24,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 @dataclass(frozen=True)
 class Rule:
-    """One registered determinism check.
-
-    ``scope`` selects the check signature: ``"file"`` rules see one
-    parsed module (``check(tree, ctx)``); ``"project"`` rules see the
-    whole-program index (``check(ctx: ProjectContext)``) and may report
-    violations in any indexed file.
-    """
+    """One registered determinism check, run as ``check(tree, ctx)``
+    over one parsed module."""
 
     code: str          # stable "SIMxxx" identifier
     name: str          # short kebab-case slug, e.g. "wall-clock"
     summary: str       # one-line contract statement
-    check: Callable    # file: check(tree, ctx); project: check(project_ctx)
-    scope: str = "file"
+    check: Callable    # check(tree, ctx)
 
 
 @dataclass(frozen=True)
@@ -73,13 +67,13 @@ class Violation:
 REGISTRY: Dict[str, Rule] = {}
 
 
-def rule(code: str, name: str, summary: str, scope: str = "file"):
+def rule(code: str, name: str, summary: str):
     """Decorator: register a check under a stable SIMxxx code."""
     def register(check: Callable) -> Callable:
         if code in REGISTRY:
             raise ValueError(f"duplicate rule code {code}")
         REGISTRY[code] = Rule(code=code, name=name, summary=summary,
-                              check=check, scope=scope)
+                              check=check)
         return check
     return register
 
@@ -177,40 +171,13 @@ class CheckContext:
         ))
 
 
-class ProjectContext:
-    """What a project-scope check sees: the whole-program index, a
-    report sink, and a scratch cache shared by the rules of one run
-    (reachability sets, the parsed shard contract) so five SIM2xx rules
-    do not rebuild the same BFS five times.
-
-    ``contract_override`` lets tests (and the mutation-style analyzer
-    tests in ``tests/test_shard.py``) analyze the real tree against a
-    deliberately perturbed contract.
-    """
-
-    def __init__(self, index, contract_override: Optional[dict] = None):
-        self.index = index
-        self.contract_override = contract_override
-        self.cache: Dict[str, object] = {}
-        self.violations: List[Violation] = []
-
-    def report(self, path: str, node, code: str, message: str) -> None:
-        self.violations.append(Violation(
-            path=path,
-            line=getattr(node, "lineno", 0),
-            col=getattr(node, "col_offset", 0),
-            code=code,
-            message=message,
-        ))
-
-
 def filter_codes(codes: Iterable[str],
                  select: Optional[Iterable[str]] = None,
                  ignore: Optional[Iterable[str]] = None) -> List[str]:
     """The enabled rule codes after ``--select`` / ``--ignore``.
 
-    Entries match exactly or by prefix: ``--select SIM2`` enables the
-    whole SIM2xx family, ``--ignore SIM10`` drops SIM101..SIM109.
+    Entries match exactly or by prefix: ``--select SIM10`` enables
+    SIM101..SIM109, ``--ignore SIM1`` drops the whole SIM1xx family.
     """
     chosen = list(codes)
     if select:

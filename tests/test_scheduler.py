@@ -1,110 +1,31 @@
-"""Pluggable-scheduler semantics: calendar queue, freelist, tombstones.
+"""Event-queue semantics: freelist, tombstones, custom schedulers.
 
-The load-bearing property is at the bottom: for the same workload, every
-scheduler dispatches the identical event sequence — scheduler choice is a
-performance knob, never a semantics knob.
+The load-bearing property is at the bottom: a wrapped scheduler, which
+takes the simulator's generic run loop, dispatches the identical event
+sequence to the inlined heap loop.
 """
 
 import random
 
 import pytest
 
-from repro.core.config import SimulationConfig
-from repro.netsim.scheduler import (
-    CalendarScheduler,
-    HeapScheduler,
-    SCHEDULER_NAMES,
-    make_scheduler,
-)
-from repro.netsim.simulator import ScheduledEvent, SimulationError, Simulator
-
-
-def _event(time, seq):
-    return ScheduledEvent(time, seq, lambda: None, ())
-
-
-class TestMakeScheduler:
-    def test_known_names(self):
-        assert isinstance(make_scheduler("heap"), HeapScheduler)
-        assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            make_scheduler("linked-list")
-
-    def test_registry_covers_all_names(self):
-        for name in SCHEDULER_NAMES:
-            assert make_scheduler(name).name == name
-
-
-class TestCalendarScheduler:
-    def test_orders_events_across_buckets(self):
-        sched = CalendarScheduler(width=0.5, n_buckets=4)
-        times = [3.7, 0.1, 12.9, 0.6, 7.3, 0.1]
-        for seq, t in enumerate(times):
-            sched.push(_event(t, seq))
-        popped = []
-        while True:
-            event = sched.pop_next()
-            if event is None:
-                break
-            popped.append((event.time, event.seq))
-        assert popped == sorted(popped)
-        assert len(popped) == len(times)
-
-    def test_fifo_ties_within_bucket(self):
-        sched = CalendarScheduler()
-        first, second = _event(1.0, 1), _event(1.0, 2)
-        sched.push(second)
-        sched.push(first)
-        assert sched.pop_next() is first
-        assert sched.pop_next() is second
-
-    def test_pop_respects_limit(self):
-        sched = CalendarScheduler()
-        sched.push(_event(5.0, 1))
-        assert sched.pop_next(limit=4.9) is None
-        assert len(sched) == 1
-        assert sched.pop_next(limit=5.0).time == 5.0
-
-    def test_resize_preserves_order(self):
-        sched = CalendarScheduler(n_buckets=2)
-        rng = random.Random(9)
-        times = [rng.random() * 100 for _ in range(500)]
-        for seq, t in enumerate(times):
-            sched.push(_event(t, seq))  # triggers several doublings
-        out = []
-        while len(sched):
-            out.append(sched.pop_next().time)
-        assert out == sorted(times)
-
-    def test_remove_cancelled_compacts(self):
-        sched = CalendarScheduler()
-        events = [_event(float(i), i) for i in range(10)]
-        for event in events:
-            sched.push(event)
-        for event in events[::2]:
-            event.cancelled = True
-        assert sched.remove_cancelled() == 5
-        assert len(sched) == 5
-
-    def test_far_future_tail_is_found(self):
-        # Events more than a "year" past the cursor exercise the direct
-        # min-scan fallback.
-        sched = CalendarScheduler(width=0.001, n_buckets=4)
-        sched.push(_event(10_000.0, 1))
-        assert sched.peek().time == 10_000.0
-        assert sched.pop_next().time == 10_000.0
+from repro.netsim.scheduler import HeapScheduler
+from repro.netsim.simulator import SimulationError, Simulator
+from repro.serialization import config_from_dict
+from repro.simlint.runtime import TieBreakAuditor
 
 
 class TestSimulatorScheduling:
     def test_config_rejects_unknown_scheduler(self):
+        # the event queue is not a config knob: a stored config that
+        # still names one fails loudly instead of being ignored
         with pytest.raises(ValueError, match="scheduler"):
-            SimulationConfig(scheduler="fifo")
+            config_from_dict({"scheduler": "calendar"})
 
     def test_scheduler_name_property(self):
         assert Simulator().scheduler_name == "heap"
-        assert Simulator(scheduler="calendar").scheduler_name == "calendar"
+        wrapped = Simulator(scheduler=TieBreakAuditor(HeapScheduler()))
+        assert wrapped.scheduler_name == "tiebreak-audit"
 
     def test_schedule_bare_fires_in_order(self):
         sim = Simulator()
@@ -170,9 +91,9 @@ class TestSimulatorScheduling:
         assert sim.events_executed == 50
 
 
-@pytest.mark.parametrize("name", SCHEDULER_NAMES)
-def test_schedulers_dispatch_identically(name):
-    """Same churn-heavy workload, identical firing sequence per scheduler."""
+def test_schedulers_dispatch_identically():
+    """Same churn-heavy workload, identical firing sequence on the
+    inlined heap loop and the generic loop behind a wrapped heap."""
 
     def workload(sim):
         rng = random.Random(1234)
@@ -193,6 +114,8 @@ def test_schedulers_dispatch_identically(name):
         sim.run(until=8.0)
         return order
 
-    baseline = workload(Simulator(scheduler="heap"))
-    assert workload(Simulator(scheduler=name)) == baseline
+    baseline = workload(Simulator())
+    wrapped = Simulator(scheduler=TieBreakAuditor(HeapScheduler()))
+    assert wrapped._heap is None  # takes the generic loop
+    assert workload(wrapped) == baseline
     assert len(baseline) > 300
