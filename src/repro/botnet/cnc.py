@@ -205,9 +205,9 @@ class CncServer:
     # ------------------------------------------------------------------
     # Command fan-out
     # ------------------------------------------------------------------
-    def checkpoint_state(self) -> dict:
-        """Deterministic registry/command state for checkpoint
-        fingerprints (bot IDs are instance-local and reproducible)."""
+    def fingerprint_state(self) -> dict:
+        """Deterministic registry/command state for the end-state
+        fingerprint (bot IDs are instance-local and reproducible)."""
         return {
             "registrations": self.total_registrations,
             "seen": sorted(str(address) for address in self.seen_addresses),

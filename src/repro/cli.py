@@ -16,16 +16,14 @@ Commands:
   timeline, attack tree, sparklines, flight-recorder dumps) or of the
   cached Figure 2 sweep; ``--flows`` adds a NetFlow-style JSONL export.
 * ``cache``       — run-cache maintenance: ``stats``, ``clear``, ``gc``.
-* ``chaos``       — crash-recovery proof: run a scenario straight, then
-  SIGKILL an identical run right after a seeded checkpoint, resume it,
-  and require byte-identical results.
 * ``lint``        — determinism linter (``repro.simlint``): the SIM1xx
   rules; nonzero exit on violations (the CI gate).  ``--fix`` applies
   mechanical rewrites, ``--diff BASE`` lints only changed files,
   ``--baseline FILE`` subtracts recorded findings.
 * ``verify-determinism`` — execute the determinism contract: one config
-  twice (first diverging trace event on mismatch) and a figure2 sweep
-  at ``--jobs 1`` vs ``--jobs N`` (rows must be byte-identical).
+  twice (first diverging trace event or per-subsystem end-state
+  fingerprint on mismatch) and a figure2 sweep at ``--jobs 1`` vs
+  ``--jobs N`` (rows must be byte-identical).
 
 Every sweep command accepts ``--csv PATH`` / ``--json PATH`` to archive
 the rows, and caches finished grid points under ``--cache-dir``
@@ -37,13 +35,8 @@ and ``--faults PATH`` to arm a :mod:`repro.faults` plan against it.
 ``trace_event`` file — load it at ``chrome://tracing`` or
 https://ui.perfetto.dev) and ``--metrics-out`` (metrics-registry
 snapshot; metrics-only instrumentation so the snapshot stays
-byte-comparable across runs), plus ``--checkpoint-every N`` /
-``--checkpoint-dir`` to write resumable state checkpoints and
-``--resume-from PATH`` to continue a killed run from its last
-checkpoint (byte-identical to the uninterrupted run; see
-``repro.checkpoint``).  Sweeps accept ``--point-timeout`` /
-``--retries`` to arm supervised execution: hung or crashed grid points
-are retried with backoff and quarantined instead of killing the sweep.
+byte-comparable across runs).  Every output path is opened for writing
+before any work starts, so a bad path fails at once, not after a run.
 """
 
 from __future__ import annotations
@@ -130,17 +123,6 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", help="write rows as JSON to this path")
 
 
-def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--point-timeout", type=float, metavar="S",
-                        help="wall-clock seconds one grid point may run "
-                             "before its worker is killed and the point "
-                             "retried with backoff; exhausted points are "
-                             "quarantined and the sweep completes")
-    parser.add_argument("--retries", type=int, metavar="N",
-                        help="retry budget per grid point for timeouts, "
-                             "hangs, and worker deaths (default: 1)")
-
-
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
     from repro.cache import DEFAULT_CACHE_DIR
 
@@ -168,36 +150,24 @@ def _telemetry_from_args(args: argparse.Namespace, label: str):
     """The sweep's :class:`repro.parallel.SweepTelemetry` — chatty under
     ``--progress``, quiet otherwise.  Always constructed, so every sweep
     parent carries a flight recorder that dumps a post-mortem on worker
-    death, quarantine, or interruption (^C / SIGTERM)."""
+    death, a failed point, or interruption (^C / SIGTERM)."""
     from repro.parallel import SweepTelemetry
 
     return SweepTelemetry(label=label,
                           quiet=not getattr(args, "progress", False))
 
 
-def _supervision_from_args(args: argparse.Namespace):
-    """A :class:`repro.parallel.Supervision` built from ``--point-timeout``
-    / ``--retries``, or ``None`` for the default policy (retry once on
-    worker death, no timeout)."""
-    timeout = getattr(args, "point_timeout", None)
-    retries = getattr(args, "retries", None)
-    if timeout is None and retries is None:
-        return None
-    from repro.parallel import Supervision
-
-    kwargs = {}
-    if timeout is not None:
-        kwargs["point_timeout"] = timeout
-    if retries is not None:
-        kwargs["retries"] = retries
-    return Supervision(**kwargs)
+#: every output-path option of any command, checked before work starts
+_OUTPUT_ARGS = ("json", "csv", "out", "flows", "trace_out", "metrics_out",
+                "jsonl_out")
 
 
 def _check_writable(*paths: Optional[str]) -> None:
-    """Fail before the (possibly long) run, not after, on bad out paths."""
+    """Fail before the (possibly long) run, not after, on bad out paths.
+    Append mode: a file from an earlier run survives a run that fails."""
     for path in paths:
         if path:
-            with open(path, "w", encoding="utf-8"):
+            with open(path, "a", encoding="utf-8"):
                 pass
 
 
@@ -214,17 +184,15 @@ def _dump_interrupt(ddosim) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Run one simulation with the flag-built (or file-loaded) config,
-    optionally checkpointing it or resuming a killed run."""
+    """Run one simulation with the flag-built (or file-loaded) config."""
     from repro.obs import Observatory
 
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
-    _check_writable(trace_out, metrics_out)
     # Full instrumentation only for the Chrome trace: the profiler's
     # wall-clock gauges would make a --metrics-out snapshot differ
-    # between two runs of the same config, and checkpoint/resume
-    # equivalence (repro chaos) compares those snapshots byte-for-byte.
+    # between two runs of the same config, and that snapshot must stay
+    # byte-comparable across runs.
     if trace_out:
         observatory = Observatory.full()
     elif metrics_out:
@@ -232,42 +200,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         observatory = None
 
-    resume_from = getattr(args, "resume_from", None)
-    checkpoint_every = getattr(args, "checkpoint_every", None)
-    ddosim = None
+    ddosim = DDoSim(_config_from_args(args), observatory=observatory)
     try:
-        if resume_from:
-            from repro.checkpoint import resume_run
-
-            resumed = resume_run(resume_from, observatory=observatory)
-            ddosim, result = resumed.ddosim, resumed.result
-            anchor = resumed.checkpoint
-            print(
-                f"resumed from checkpoint tick {anchor['tick']} "
-                f"(t={anchor['t']:g}): replay verified "
-                f"{len(resumed.writer.verified)} barrier(s)",
-                file=sys.stderr,
-            )
-        else:
-            config = _config_from_args(args)
-            ddosim = DDoSim(config, observatory=observatory)
-            if checkpoint_every:
-                from repro.checkpoint import (
-                    DEFAULT_CHECKPOINT_DIR,
-                    CheckpointWriter,
-                )
-
-                writer = CheckpointWriter(
-                    getattr(args, "checkpoint_dir", None)
-                    or DEFAULT_CHECKPOINT_DIR,
-                    checkpoint_every,
-                    kill_after=getattr(args, "kill_after_checkpoint", None),
-                )
-                writer.arm(ddosim)
-            result = ddosim.run()
+        result = ddosim.run()
     except KeyboardInterrupt:
-        if ddosim is not None:
-            _dump_interrupt(ddosim)
+        _dump_interrupt(ddosim)
         return 130
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -289,7 +226,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import Observatory
 
     config = _config_from_args(args)
-    _check_writable(args.trace_out, args.metrics_out, args.jsonl_out)
     observatory = Observatory.full(trace_capacity=args.trace_capacity)
     ddosim = DDoSim(config, observatory=observatory)
     ddosim.run()
@@ -332,7 +268,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
 
     flows_out = getattr(args, "flows", None)
-    _check_writable(args.out, flows_out)
     if args.figure2:
         from repro.core.experiment import FIGURE2_CHURN, run_figure2
 
@@ -380,8 +315,7 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     rows = run_figure2(devs_grid=devs_grid, churn_modes=FIGURE2_CHURN,
                        seed=args.seed, base_config=base, jobs=args.jobs,
                        cache=_cache_from_args(args),
-                       telemetry=_telemetry_from_args(args, "figure2"),
-                       supervision=_supervision_from_args(args))
+                       telemetry=_telemetry_from_args(args, "figure2"))
     _emit_rows(rows, args)
     return 0
 
@@ -395,8 +329,7 @@ def cmd_figure3(args: argparse.Namespace) -> int:
                             flood_flow=getattr(args, "flow", "off"))
     rows = run_figure3(devs_grid=devs_grid, seed=args.seed, base_config=base,
                        jobs=args.jobs, cache=_cache_from_args(args),
-                       telemetry=_telemetry_from_args(args, "figure3"),
-                       supervision=_supervision_from_args(args))
+                       telemetry=_telemetry_from_args(args, "figure3"))
     _emit_rows(rows, args)
     return 0
 
@@ -408,8 +341,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     devs_grid = tuple(args.grid) if args.grid else TABLE1_DEVS
     rows = run_table1(devs_grid=devs_grid, seed=args.seed, jobs=args.jobs,
                       cache=_cache_from_args(args),
-                      telemetry=_telemetry_from_args(args, "table1"),
-                      supervision=_supervision_from_args(args))
+                      telemetry=_telemetry_from_args(args, "table1"))
     _emit_rows(rows, args)
     return 0
 
@@ -421,8 +353,7 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     devs_grid = tuple(args.grid) if args.grid else (1, 4, 7, 10, 13, 16, 19)
     rows = run_figure4(devs_grid=devs_grid, seed=args.seed, jobs=args.jobs,
                        cache=_cache_from_args(args),
-                       telemetry=_telemetry_from_args(args, "figure4"),
-                       supervision=_supervision_from_args(args))
+                       telemetry=_telemetry_from_args(args, "figure4"))
     _emit_rows(rows, args)
     return 0
 
@@ -436,8 +367,7 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
     grid = tuple(args.grid) if args.grid else None
     kwargs = {"n_devs": args.devs, "seed": args.seed, "jobs": args.jobs,
               "cache": _cache_from_args(args),
-              "telemetry": _telemetry_from_args(args, "faultsweep"),
-              "supervision": _supervision_from_args(args)}
+              "telemetry": _telemetry_from_args(args, "faultsweep")}
     if grid:
         kwargs["intensity_grid"] = grid
     rows = run_fault_sweep(plan, **kwargs)
@@ -451,8 +381,7 @@ def cmd_recruitment(args: argparse.Namespace) -> int:
 
     rows = run_recruitment(n_devs=args.devs, seed=args.seed, jobs=args.jobs,
                            cache=_cache_from_args(args),
-                           telemetry=_telemetry_from_args(args, "recruitment"),
-                           supervision=_supervision_from_args(args))
+                           telemetry=_telemetry_from_args(args, "recruitment"))
     _emit_rows(rows, args)
     return 0
 
@@ -480,117 +409,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"evicted {evicted} cached runs "
               f"({cache.total_bytes()} bytes retained)")
     return 0
-
-
-def _chaos_run_flags(args: argparse.Namespace) -> List[str]:
-    """The child-run flags shared by every leg of the chaos harness."""
-    flags = [
-        "--devs", str(args.devs), "--seed", str(args.seed),
-        "--churn", args.churn, "--duration", str(args.duration),
-        "--binary-mix", args.binary_mix, "--payload", str(args.payload),
-        "--train", str(args.train), "--flow", args.flow,
-    ]
-    if getattr(args, "faults", None):
-        flags += ["--faults", args.faults]
-    return flags
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Prove crash recovery end-to-end: run the scenario straight, then
-    SIGKILL an identical run right after a seeded checkpoint tick,
-    resume it from disk, and require the resumed run's result and
-    metrics files to be byte-identical to the straight run's.
-    """
-    import filecmp
-    import os
-    import random
-    import shutil
-    import signal as signal_module
-    import subprocess
-    import tempfile
-
-    import repro
-
-    every = args.checkpoint_every
-    workdir = tempfile.mkdtemp(prefix="repro-chaos-")
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    base = [sys.executable, "-m", "repro", "run", *_chaos_run_flags(args)]
-    paths = {
-        name: os.path.join(workdir, f"{name}.json")
-        for name in ("straight", "straight-metrics", "resumed",
-                     "resumed-metrics", "chaos", "chaos-metrics")
-    }
-    checkpoint_dir = os.path.join(workdir, "checkpoints")
-    try:
-        print(f"[chaos] workdir {workdir}")
-        print("[chaos] leg 1/3: straight run")
-        subprocess.run(
-            base + ["--json", paths["straight"],
-                    "--metrics-out", paths["straight-metrics"]],
-            check=True, env=env, stdout=subprocess.DEVNULL,
-        )
-        with open(paths["straight"], encoding="utf-8") as handle:
-            sim_end = json.load(handle)["sim_end_time"]
-        fired = int((sim_end - 1e-9) // every)
-        if fired < 1:
-            print(
-                f"[chaos] error: no checkpoint fires before the run ends "
-                f"at t={sim_end:g} — lower --checkpoint-every (now {every:g})",
-                file=sys.stderr,
-            )
-            return 2
-        # The kill point is seeded, not wall-clock: the harness itself
-        # must be reproducible.
-        kill_tick = random.Random(f"{args.seed}-chaos").randint(1, fired)
-        print(f"[chaos] leg 2/3: kill -9 after checkpoint tick "
-              f"{kill_tick}/{fired} (t={kill_tick * every:g})")
-        victim = subprocess.run(
-            base + ["--json", paths["chaos"],
-                    "--metrics-out", paths["chaos-metrics"],
-                    "--checkpoint-every", str(every),
-                    "--checkpoint-dir", checkpoint_dir,
-                    "--kill-after-checkpoint", str(kill_tick)],
-            env=env, stdout=subprocess.DEVNULL,
-        )
-        if victim.returncode != -signal_module.SIGKILL:
-            print(
-                f"[chaos] error: victim exited {victim.returncode}, "
-                f"expected SIGKILL ({-signal_module.SIGKILL})",
-                file=sys.stderr,
-            )
-            return 2
-        print("[chaos] leg 3/3: resume from checkpoint")
-        subprocess.run(
-            [sys.executable, "-m", "repro", "run",
-             "--resume-from", checkpoint_dir,
-             "--json", paths["resumed"],
-             "--metrics-out", paths["resumed-metrics"]],
-            check=True, env=env, stdout=subprocess.DEVNULL,
-        )
-        result_ok = filecmp.cmp(paths["straight"], paths["resumed"],
-                                shallow=False)
-        metrics_ok = filecmp.cmp(paths["straight-metrics"],
-                                 paths["resumed-metrics"], shallow=False)
-        print(f"[chaos] result bytes identical:  "
-              f"{'yes' if result_ok else 'NO'}")
-        print(f"[chaos] metrics bytes identical: "
-              f"{'yes' if metrics_ok else 'NO'}")
-        if result_ok and metrics_ok:
-            print(f"[chaos] PASS: killed at tick {kill_tick}, resumed run "
-                  f"is byte-identical to the uninterrupted run")
-            return 0
-        print("[chaos] FAIL: resumed run diverges from the straight run",
-              file=sys.stderr)
-        return 1
-    finally:
-        if getattr(args, "keep", False):
-            print(f"[chaos] kept {workdir}")
-        else:
-            shutil.rmtree(workdir, ignore_errors=True)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -662,7 +480,6 @@ def cmd_verify_determinism(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=args.jobs,
         flow=args.flow,
-        resume=args.resume,
     )
     if args.format == "json":
         print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -710,22 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--metrics-out",
                             help="write a metrics-registry snapshot as JSON "
                                  "(enables metrics instrumentation)")
-    run_parser.add_argument("--checkpoint-every", type=float, metavar="N",
-                            help="write a resumable checkpoint every N "
-                                 "sim-seconds (repro.checkpoint)")
-    run_parser.add_argument("--checkpoint-dir",
-                            help="checkpoint directory (default: "
-                                 ".repro-checkpoints)")
-    run_parser.add_argument("--resume-from", metavar="PATH",
-                            help="resume from a checkpoint file or "
-                                 "directory (uses the config embedded in "
-                                 "the checkpoint; the finished run is "
-                                 "byte-identical to an uninterrupted one)")
-    run_parser.add_argument("--kill-after-checkpoint", type=int,
-                            metavar="TICK",
-                            help="chaos hook: SIGKILL this process "
-                                 "immediately after writing checkpoint "
-                                 "TICK")
     run_parser.set_defaults(func=cmd_run)
 
     obs_parser = commands.add_parser(
@@ -791,7 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--progress", action="store_true",
                          help="stream per-point progress lines (cache "
                               "attribution, ETA, stragglers)")
-        _add_supervision_args(sub)
         _add_cache_args(sub)
         _add_output_args(sub)
         if name in ("figure2", "figure3"):
@@ -816,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="worker processes for grid points")
     faultsweep_parser.add_argument("--progress", action="store_true",
                                    help="stream per-point progress lines")
-    _add_supervision_args(faultsweep_parser)
     _add_cache_args(faultsweep_parser)
     _add_output_args(faultsweep_parser)
     faultsweep_parser.set_defaults(func=cmd_faultsweep)
@@ -830,7 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     help="worker processes for grid points")
     recruitment_parser.add_argument("--progress", action="store_true",
                                     help="stream per-point progress lines")
-    _add_supervision_args(recruitment_parser)
     _add_cache_args(recruitment_parser)
     _add_output_args(recruitment_parser)
     recruitment_parser.set_defaults(func=cmd_recruitment)
@@ -899,29 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
                                default="off",
                                help="run the gate with the fluid-flow "
                                     "datapath in the checked config")
-    verify_parser.add_argument("--resume", action="store_true",
-                               help="also prove checkpoint/resume "
-                                    "equivalence: checkpoint a run, "
-                                    "resume it, compare result + metrics "
-                                    "byte-for-byte")
     verify_parser.add_argument("--format", choices=("text", "json"),
                                default="text")
     verify_parser.set_defaults(func=cmd_verify_determinism)
-
-    chaos_parser = commands.add_parser(
-        "chaos",
-        help="crash-recovery proof: SIGKILL a run mid-flight, resume "
-             "from its checkpoint, require byte-identical results",
-    )
-    _add_common_run_args(chaos_parser)
-    chaos_parser.add_argument("--checkpoint-every", type=float, default=20.0,
-                              metavar="N",
-                              help="checkpoint cadence in sim-seconds "
-                                   "(default: 20)")
-    chaos_parser.add_argument("--keep", action="store_true",
-                              help="keep the chaos working directory "
-                                   "(checkpoints + result files)")
-    chaos_parser.set_defaults(func=cmd_chaos)
 
     epidemic_parser = commands.add_parser(
         "epidemic", help="worm propagation + SI fit (use case V-A2)"
@@ -946,6 +724,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_writable(*(getattr(args, name, None) for name in _OUTPUT_ARGS))
     try:
         # SIGTERM gets the same graceful path as ^C: commands catch
         # KeyboardInterrupt, dump their flight recorder, and exit 130.

@@ -280,9 +280,9 @@ class DevFleet:
         base = self.devs[0].ipv6.value & ~((1 << 64) - 1)
         return base, min(iids), max(iids)
 
-    def checkpoint_state(self) -> dict:
+    def fingerprint_state(self) -> dict:
         """Deterministic fleet state (composition + per-dev link/attack
-        progress) for checkpoint fingerprints."""
+        progress) for the end-state fingerprint."""
         offered_bytes, offered_packets = self.total_offered_attack()
         return {
             "online": self.online_count(),

@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cache import CachedRun
 from repro.core.config import CHURN_DYNAMIC, CHURN_NONE, CHURN_STATIC, SimulationConfig
 from repro.core.framework import DDoSim
-from repro.core.results import RunResult
-from repro.parallel import QuarantinedPoint, run_cached
+from repro.parallel import run_cached
 
 #: the paper's grids
 FIGURE2_DEVS_FULL = (10, 30, 50, 70, 90, 110, 130, 150)
@@ -46,29 +45,12 @@ FIGURE3_DEVS_QUICK = (50, 100)
 FIGURE4_DEVS_QUICK = (1, 4, 7, 10, 13, 16, 19)
 
 
-def run_single(config: SimulationConfig) -> RunResult:
-    """Run one configuration to completion."""
-    return DDoSim(config).run()
-
-
 def _run_point(config: SimulationConfig) -> CachedRun:
     """The standard sweep point (module-level so it pickles): one DDoSim
     run plus its metric snapshot, in cache-storable form."""
     ddosim = DDoSim(config)
     result = ddosim.run()
     return CachedRun(results=[result], metrics=ddosim.obs.metrics.snapshot())
-
-
-def _completed(points, runs):
-    """Pair grid points with their runs, skipping quarantined slots —
-    a degraded sweep still yields rows for every completed point (the
-    quarantine itself is reported by :func:`repro.parallel.run_cached`
-    and in the sweep telemetry summary)."""
-    return [
-        (point, run)
-        for point, run in zip(points, runs)
-        if not isinstance(run, QuarantinedPoint)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +64,6 @@ def run_figure2(
     jobs: int = 1,
     cache=None,
     telemetry=None,
-    supervision=None,
 ) -> List[Dict[str, object]]:
     """100-second attacks across a Devs x churn grid."""
     points = [
@@ -93,7 +74,7 @@ def run_figure2(
         for churn, n_devs in points
     ]
     runs = run_cached(_run_point, configs, jobs=jobs, cache=cache,
-                      telemetry=telemetry, supervision=supervision)
+                      telemetry=telemetry)
     return [
         {
             "churn": churn,
@@ -103,7 +84,7 @@ def run_figure2(
             "bots_at_attack": run.result.attack.bots_commanded,
             "delivery_ratio": round(run.result.attack.delivery_ratio, 3),
         }
-        for (churn, n_devs), run in _completed(points, runs)
+        for (churn, n_devs), run in zip(points, runs)
     ]
 
 
@@ -118,7 +99,6 @@ def run_figure3(
     jobs: int = 1,
     cache=None,
     telemetry=None,
-    supervision=None,
 ) -> List[Dict[str, object]]:
     points = [
         (n_devs, duration) for n_devs in devs_grid for duration in durations
@@ -134,7 +114,7 @@ def run_figure3(
         for n_devs, duration in points
     ]
     runs = run_cached(_run_point, configs, jobs=jobs, cache=cache,
-                      telemetry=telemetry, supervision=supervision)
+                      telemetry=telemetry)
     return [
         {
             "n_devs": n_devs,
@@ -144,7 +124,7 @@ def run_figure3(
                 run.result.attack.received_bytes * 8 / 1e6, 1
             ),
         }
-        for (n_devs, duration), run in _completed(points, runs)
+        for (n_devs, duration), run in zip(points, runs)
     ]
 
 
@@ -158,13 +138,12 @@ def run_table1(
     jobs: int = 1,
     cache=None,
     telemetry=None,
-    supervision=None,
 ) -> List[Dict[str, object]]:
     configs = [
         _derive(base_config, n_devs=n_devs, seed=seed) for n_devs in devs_grid
     ]
     runs = run_cached(_run_point, configs, jobs=jobs, cache=cache,
-                      telemetry=telemetry, supervision=supervision)
+                      telemetry=telemetry)
     return [
         {
             "n_devs": n_devs,
@@ -172,7 +151,7 @@ def run_table1(
             "attack_mem_gb": round(run.result.resources.attack_mem_gb, 2),
             "attack_time": run.result.resources.attack_time_mmss(),
         }
-        for n_devs, run in _completed(devs_grid, runs)
+        for n_devs, run in zip(devs_grid, runs)
     ]
 
 
@@ -201,7 +180,6 @@ def run_figure4(
     jobs: int = 1,
     cache=None,
     telemetry=None,
-    supervision=None,
 ) -> List[Dict[str, object]]:
     configs = [
         _derive(
@@ -214,9 +192,9 @@ def run_figure4(
         for n_devs in devs_grid
     ]
     runs = run_cached(_figure4_point, configs, jobs=jobs, cache=cache,
-                      telemetry=telemetry, supervision=supervision)
+                      telemetry=telemetry)
     rows: List[Dict[str, object]] = []
-    for n_devs, run in _completed(devs_grid, runs):
+    for n_devs, run in zip(devs_grid, runs):
         ddosim_result, hardware_result = run.results
         sim_kbps = ddosim_result.attack.avg_received_kbps
         hw_kbps = hardware_result.attack.avg_received_kbps
@@ -262,7 +240,6 @@ def run_fault_sweep(
     jobs: int = 1,
     cache=None,
     telemetry=None,
-    supervision=None,
 ) -> List[Dict[str, object]]:
     """Sweep one :class:`repro.faults.FaultPlan` across intensities.
 
@@ -279,7 +256,7 @@ def run_fault_sweep(
         for intensity in intensity_grid
     ]
     runs = run_cached(_fault_sweep_point, configs, jobs=jobs, cache=cache,
-                      telemetry=telemetry, supervision=supervision)
+                      telemetry=telemetry)
     return [
         {
             "intensity": intensity,
@@ -290,7 +267,7 @@ def run_fault_sweep(
             "delivery_ratio": round(run.result.attack.delivery_ratio, 3),
             "bot_reconnects": run.extra["bot_reconnects"],
         }
-        for intensity, run in _completed(intensity_grid, runs)
+        for intensity, run in zip(intensity_grid, runs)
     ]
 
 
@@ -304,7 +281,6 @@ def run_recruitment(
     jobs: int = 1,
     cache=None,
     telemetry=None,
-    supervision=None,
 ) -> List[Dict[str, object]]:
     """Infection rate per (binary, protection profile) — the R2 answer."""
     points = [
@@ -325,7 +301,7 @@ def run_recruitment(
         for binary_mix, profile in points
     ]
     runs = run_cached(_run_point, configs, jobs=jobs, cache=cache,
-                      telemetry=telemetry, supervision=supervision)
+                      telemetry=telemetry)
     return [
         {
             "binary": binary_mix,
@@ -335,7 +311,7 @@ def run_recruitment(
             "infection_rate": round(run.result.recruitment.infection_rate, 3),
             "leaks": run.result.recruitment.leaks_harvested,
         }
-        for (binary_mix, profile), run in _completed(points, runs)
+        for (binary_mix, profile), run in zip(points, runs)
     ]
 
 
@@ -360,7 +336,6 @@ def run_vector_comparison(
     jobs: int = 1,
     cache=None,
     telemetry=None,
-    supervision=None,
 ) -> List[Dict[str, object]]:
     """Same fleet, three recruitment vectors (the paper's R1 contrast:
     memory-error exploits vs the classic Mirai credential dictionary)."""
@@ -378,7 +353,7 @@ def run_vector_comparison(
         for vector in vectors
     ]
     runs = run_cached(_vector_comparison_point, configs, jobs=jobs, cache=cache,
-                      telemetry=telemetry, supervision=supervision)
+                      telemetry=telemetry)
     return [
         {
             "vector": vector,
@@ -388,7 +363,7 @@ def run_vector_comparison(
             "infection_rate": round(run.result.recruitment.infection_rate, 3),
             "avg_received_kbps": round(run.result.attack.avg_received_kbps, 1),
         }
-        for vector, run in _completed(vectors, runs)
+        for vector, run in zip(vectors, runs)
     ]
 
 
@@ -413,7 +388,6 @@ def run_emulation_comparison(
     jobs: int = 1,
     cache=None,
     telemetry=None,
-    supervision=None,
 ) -> List[Dict[str, object]]:
     """Same experiment under both Dev emulation modes.
 
@@ -435,7 +409,7 @@ def run_emulation_comparison(
         for mode in modes
     ]
     runs = run_cached(_emulation_comparison_point, configs, jobs=jobs, cache=cache,
-                      telemetry=telemetry, supervision=supervision)
+                      telemetry=telemetry)
     return [
         {
             "emulation": mode,
@@ -445,7 +419,7 @@ def run_emulation_comparison(
             "fleet_memory_mb": round(run.extra["fleet_memory_bytes"] / 1e6, 1),
             "avg_received_kbps": round(run.result.attack.avg_received_kbps, 1),
         }
-        for mode, run in _completed(modes, runs)
+        for mode, run in zip(modes, runs)
     ]
 
 

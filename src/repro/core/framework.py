@@ -167,8 +167,8 @@ class DDoSim:
 
     def named_rngs(self):
         """Every named RNG stream of this run as ``(label, Random)``
-        pairs, in a fixed order — what checkpoint fingerprints hash so a
-        replay that drifts in any stream is caught at the next barrier."""
+        pairs, in a fixed order — what the end-state fingerprint hashes so
+        a second run that drifts in any stream is named by it."""
         pairs = [
             ("ddosim", self.rng),
             ("credentials", self.devs._credential_rng),

@@ -251,8 +251,8 @@ class FaultInjector:
         self.dynamic_churn = None
         self._armed = False
 
-    def checkpoint_state(self) -> dict:
-        """Deterministic injection progress for checkpoint fingerprints
+    def fingerprint_state(self) -> dict:
+        """Deterministic injection progress for the end-state fingerprint
         (the RNG streams themselves are hashed by the framework)."""
         return {
             "injected": self.injected,

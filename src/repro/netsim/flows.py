@@ -315,10 +315,10 @@ class FlowEngine:
         """Integrate through ``sim.now`` (end-of-run settlement)."""
         self.advance()
 
-    def checkpoint_state(self) -> dict:
+    def fingerprint_state(self) -> dict:
         """Deterministic engine state — epochs, every flow's exact byte
         accounting, and all fractional-packet remainder accumulators —
-        for checkpoint fingerprinting.  Read-only: no segment is closed.
+        for the end-state fingerprint.  Read-only: no segment is closed.
         """
 
         def flow_state(flow: FluidFlow) -> list:

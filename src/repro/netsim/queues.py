@@ -155,7 +155,7 @@ class DropTailQueue:
                     lost=count, depth=self.packets_queued,
                 )
 
-    def checkpoint_state(self) -> dict:
+    def fingerprint_state(self) -> dict:
         """Deterministic queue contents + counters for fingerprinting.
 
         Entries are described by (size, count) shape — ``Packet.uid``

@@ -75,5 +75,5 @@ class HeapScheduler:
 
     def events(self):
         """Every queued event, tombstones included, in no particular
-        order (checkpoint fingerprints sort by the (time, seq) key)."""
+        order (end-state fingerprints sort by the (time, seq) key)."""
         return iter(self._heap)

@@ -375,9 +375,9 @@ class Simulator:
         queue physically holds; profiler high-water tracks this)."""
         return len(self._sched)
 
-    def checkpoint_events(self):
-        """Every queued event — tombstones included — for checkpoint
-        fingerprinting; iteration order is scheduler-internal, callers
+    def fingerprint_events(self):
+        """Every queued event — tombstones included — for end-state
+        fingerprints; iteration order is scheduler-internal, callers
         must sort by the (time, seq) key."""
         return self._sched.events()
 

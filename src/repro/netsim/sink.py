@@ -262,9 +262,9 @@ class PacketSink(Application):
             })
         return records
 
-    def checkpoint_state(self) -> dict:
-        """Deterministic histogram/flow/quantizer state for checkpoint
-        fingerprints (all dict iterations sorted by stable string keys)."""
+    def fingerprint_state(self) -> dict:
+        """Deterministic histogram/flow/quantizer state for the end-state
+        fingerprint (all dict iterations sorted by stable string keys)."""
         return {
             "bin_width": self.bin_width,
             "total_packets": self.total_packets,

@@ -77,7 +77,7 @@ class HostLink:
         else:
             self.router_device.set_admin_down()
 
-    def checkpoint_state(self) -> dict:
+    def fingerprint_state(self) -> dict:
         """Deterministic device/queue/channel state for fingerprinting."""
 
         def device_state(device) -> dict:
@@ -92,7 +92,7 @@ class HostLink:
                 "rx_bytes": device.rx_bytes,
                 "drops_down": device.drops_down,
                 "transmitting": device._transmitting,
-                "queue": device.queue.checkpoint_state(),
+                "queue": device.queue.fingerprint_state(),
             }
 
         channel = self.channel
@@ -194,10 +194,10 @@ class StarInternet:
         """Churn hook: connect/disconnect a host's access link."""
         self.links[node].set_up(up)
 
-    def checkpoint_state(self) -> list:
+    def fingerprint_state(self) -> list:
         """Per-link fingerprint state, ordered by host node name."""
         ordered = sorted(self.links.values(), key=lambda link: link.node.name)
-        return [link.checkpoint_state() for link in ordered]
+        return [link.fingerprint_state() for link in ordered]
 
     def total_queue_drops(self) -> int:
         """Congestion losses across every queue in the star."""

@@ -5,22 +5,16 @@ points share nothing — each builds its own :class:`Simulator` from its
 own config and seed — so they spread perfectly across worker processes.
 This module is the one place that knows how.
 
-Dispatch is a **dynamic work queue**, not static sharding: the parent
-hands each worker exactly one point at a time over a private pipe and
-idle workers get the next point the moment they finish their last.  A
-sweep whose grid is skewed (one 150-Dev point among 10-Dev points) no
-longer idles the pool behind its slowest static shard; the slow point
-occupies one worker while the rest drain everything else.
-
-Execution is **supervised**: every worker streams heartbeats to the
-parent, so the parent can distinguish a dead worker (pipe EOF, process
-gone) from a *hung* one (alive but silent past the heartbeat deadline).
-Either way the worker is SIGKILLed and replaced, and the point is
-retried with capped-exponential backoff — the same schedule the bots
-use to re-reach a flapping C&C (:mod:`repro.botnet.bot`).  When a
-:class:`Supervision` enables per-point wall-clock timeouts, a point
-that exhausts its retries is **quarantined** (the sweep completes and
-reports it) instead of killing the whole sweep.
+``jobs<=1`` runs the points in this process, in grid order.  ``jobs>1``
+hands them to a :class:`concurrent.futures.ProcessPoolExecutor`: an
+idle worker takes the next point the moment it finishes its last, so a
+skewed grid (one 150-Dev point among 10-Dev points) keeps every worker
+busy.  Each finished point reaches ``on_complete`` in this process as
+soon as it completes.  A point that raises cancels the points not yet
+started and re-raises here, exactly as the serial path would.  A worker
+that dies (SIGKILL, the OOM killer) breaks the pool; the points it left
+unfinished go once more to a fresh pool, and a second death fails the
+sweep, naming them.
 
 :func:`run_cached` adds the cache layer (:mod:`repro.cache`): it first
 partitions the grid into hits — served instantly from disk, no
@@ -30,72 +24,30 @@ sweep therefore resumes: rerunning it re-serves every committed point
 and recomputes only the remainder.
 
 Determinism: a run's outcome depends only on its config (the per-run
-RNGs are seeded from ``config.seed``), so neither sharding, dispatch
-order, nor retries can change any result — ``jobs=N`` returns
-byte-identical rows to ``jobs=1``, just sooner on a multi-core host.
-``jobs<=1`` bypasses multiprocessing entirely and runs the exact serial
-path (in grid order), unless a :class:`Supervision` needs a worker
-process to enforce its timeout.
+RNGs are seeded from ``config.seed``), so neither dispatch order nor a
+retry can change any result — ``jobs=N`` returns byte-identical rows to
+``jobs=1``, just sooner on a multi-core host.  The pool is imported
+only on the ``jobs>1`` path, so the serial path never loads
+:mod:`multiprocessing`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
-import os
 import resource
 import sys
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SimulationConfig
-from repro.core.results import RunResult
 from repro.obs.recorder import FlightRecorder
 from repro.obs.spans import SpanTracker
-
-#: retry backoff schedule — the bot reconnect pattern (base * 2^(n-1),
-#: capped), scaled to sweep-harness magnitudes
-RETRY_BACKOFF = 0.25
-RETRY_BACKOFF_MAX = 8.0
-
-#: wall seconds between worker->parent heartbeats
-HEARTBEAT_INTERVAL = 0.2
-
-#: test hook: setting this event inside a worker process silences its
-#: heartbeat thread, simulating a hung-but-alive worker
-_heartbeat_suppressed = threading.Event()
-
-
-def default_jobs() -> int:
-    """Worker count when the caller says "parallel" without a number:
-    every core, capped so tiny grids don't fork idle workers."""
-    return os.cpu_count() or 1
-
-
-def _run_one(config: SimulationConfig) -> RunResult:
-    # Module-level so it pickles for spawn-based platforms.
-    from repro.core.framework import DDoSim
-
-    return DDoSim(config).run()
-
-
-def _run_one_with_metrics(
-    config: SimulationConfig,
-) -> Tuple[RunResult, Dict[str, dict]]:
-    from repro.core.framework import DDoSim
-    from repro.obs import Observatory
-
-    ddosim = DDoSim(config, observatory=Observatory())
-    result = ddosim.run()
-    return result, ddosim.obs.metrics.snapshot()
 
 
 def _mp_context():
     # fork shares the already-imported modules with the workers; fall
     # back to the platform default (spawn) where fork is unavailable.
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -107,383 +59,15 @@ def _peak_rss_kib() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _invoke_indexed_timed(task):
-    """Serial-path helper: run one tagged task and report its wall time
-    so sweep telemetry can spot stragglers and project an ETA.  The
-    timing rides alongside the result — it never feeds back into the
-    simulation, so determinism is untouched."""
-    index, fn, item = task
+def _timed_call(fn, item) -> Tuple[object, float, int]:
+    """Run one point; report its wall time and the peak RSS of the
+    process that ran it, so sweep telemetry can spot stragglers and
+    project an ETA.  The timing rides alongside the result — it never
+    feeds back into the simulation, so determinism is untouched."""
     t0 = time.monotonic()  # simlint: disable=SIM101
     value = fn(item)
     elapsed = time.monotonic() - t0  # simlint: disable=SIM101
-    return index, value, elapsed
-
-
-# ----------------------------------------------------------------------
-# Supervision policy
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Supervision:
-    """How a sweep reacts to slow, hung, and dead workers.
-
-    The default policy (used whenever ``jobs>1``) retries a point once
-    after a worker death — a single transient crash no longer costs the
-    point — and otherwise changes nothing.  Setting ``point_timeout``
-    arms the full harness: per-point wall-clock deadlines, stale-
-    heartbeat hang detection, and quarantine after ``retries`` are
-    exhausted so one poison point cannot kill the sweep.
-    """
-
-    #: wall-clock seconds one point may run before its worker is killed
-    point_timeout: Optional[float] = None
-    #: extra attempts after the first, for timeouts/hangs/worker deaths
-    retries: int = 1
-    #: quarantine exhausted points instead of raising; None = automatic
-    #: (on exactly when a point_timeout is set)
-    quarantine: Optional[bool] = None
-    #: capped-exponential retry delay parameters (bot-backoff shape)
-    backoff_base: float = RETRY_BACKOFF
-    backoff_cap: float = RETRY_BACKOFF_MAX
-    #: worker heartbeat period (wall seconds)
-    heartbeat_interval: float = HEARTBEAT_INTERVAL
-    #: silence longer than this marks a live worker as hung; None =
-    #: automatic (enabled with a generous default when point_timeout is
-    #: set, off otherwise — hang detection must never kill healthy
-    #: workers in the default policy)
-    hung_after: Optional[float] = None
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (1-based): the capped
-        exponential schedule the bots use for C&C reconnects."""
-        return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-
-    @property
-    def quarantines(self) -> bool:
-        if self.quarantine is not None:
-            return self.quarantine
-        return self.point_timeout is not None
-
-    @property
-    def effective_hung_after(self) -> Optional[float]:
-        if self.hung_after is not None:
-            return self.hung_after
-        if self.point_timeout is not None:
-            return max(5.0, 25.0 * self.heartbeat_interval)
-        return None
-
-    @property
-    def needs_worker(self) -> bool:
-        """True when this policy can only be enforced out-of-process."""
-        return self.point_timeout is not None or self.hung_after is not None
-
-
-DEFAULT_SUPERVISION = Supervision()
-
-
-@dataclass(frozen=True)
-class QuarantinedPoint:
-    """Placeholder result for a point that exhausted its retries.
-
-    Sweeps carrying one of these completed; row builders skip it and
-    the sweep summary reports which grid indices were quarantined."""
-
-    index: int
-    attempts: int
-    reason: str  # "timeout" | "hung" | "worker_death"
-    error: str = ""
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _supervised_worker(conn, fn, heartbeat_interval: float) -> None:
-    """One supervised worker: pull (index, item) tasks off ``conn``, run
-    them, send back ("ok", ...) / ("err", ...), and stream ("hb",)
-    heartbeats from a side thread so the parent can tell hung from dead.
-    """
-    send_lock = threading.Lock()
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.wait(heartbeat_interval):
-            if _heartbeat_suppressed.is_set():
-                continue  # test hook: play dead while staying alive
-            try:
-                with send_lock:
-                    conn.send(("hb",))
-            except (BrokenPipeError, OSError):
-                return
-
-    threading.Thread(target=beat, daemon=True).start()
-    try:
-        while True:
-            try:
-                task = conn.recv()
-            except (EOFError, OSError):
-                break
-            if task is None:
-                break
-            index, item = task
-            t0 = time.monotonic()  # simlint: disable=SIM101
-            try:
-                value = fn(item)
-            except BaseException as exc:
-                elapsed = time.monotonic() - t0  # simlint: disable=SIM101
-                rss = _peak_rss_kib()
-                try:
-                    message = ("err", index, exc, elapsed, rss)
-                    with send_lock:
-                        conn.send(message)
-                except Exception:
-                    # The exception itself didn't pickle; degrade to repr.
-                    with send_lock:
-                        conn.send(
-                            ("err", index, RuntimeError(repr(exc)), elapsed, rss)
-                        )
-                continue
-            elapsed = time.monotonic() - t0  # simlint: disable=SIM101
-            with send_lock:
-                conn.send(("ok", index, value, elapsed, _peak_rss_kib()))
-    finally:
-        stop.set()
-        conn.close()
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-class _WorkerSlot:
-    """Parent-side bookkeeping for one supervised worker process."""
-
-    __slots__ = ("process", "conn", "index", "started", "last_beat",
-                 "rss_kib")
-
-    def __init__(self, process, conn):
-        self.process = process
-        self.conn = conn
-        self.index: Optional[int] = None  # grid index in flight, if any
-        self.started = 0.0
-        self.last_beat = 0.0
-        self.rss_kib: Optional[int] = None  # last peak RSS it reported
-
-
-def _spawn_worker(ctx, fn, heartbeat_interval: float) -> _WorkerSlot:
-    parent_conn, child_conn = ctx.Pipe(duplex=True)
-    process = ctx.Process(
-        target=_supervised_worker,
-        args=(child_conn, fn, heartbeat_interval),
-        daemon=True,
-    )
-    process.start()
-    child_conn.close()
-    return _WorkerSlot(process, parent_conn)
-
-
-def _kill_worker(slot: _WorkerSlot) -> None:
-    try:
-        slot.process.kill()
-    except Exception:
-        pass
-    slot.process.join(timeout=2.0)
-    try:
-        slot.conn.close()
-    except OSError:
-        pass
-
-
-def _shutdown_workers(workers: List[_WorkerSlot]) -> None:
-    for slot in workers:
-        try:
-            slot.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-    for slot in workers:
-        slot.process.join(timeout=2.0)
-        if slot.process.is_alive():
-            slot.process.kill()
-            slot.process.join(timeout=2.0)
-        try:
-            slot.conn.close()
-        except OSError:
-            pass
-
-
-def _supervised_map(
-    fn,
-    items: Sequence,
-    jobs: int,
-    on_complete: Optional[Callable[[int, object], None]],
-    telemetry: Optional["SweepTelemetry"],
-    supervision: Supervision,
-) -> List:
-    """The supervised executor: per-worker pipes (a killed worker can
-    only corrupt its own, which dies with it), heartbeat monitoring,
-    deadline enforcement, retry with backoff, and quarantine."""
-    monotonic = time.monotonic  # simlint: disable=SIM101
-    ctx = _mp_context()
-    total = len(items)
-    n_workers = max(1, min(jobs, total))
-    hung_after = supervision.effective_hung_after
-    results: List = [None] * total
-    attempts = [0] * total
-    #: (grid index, earliest wall time it may be dispatched)
-    pending = deque((index, 0.0) for index in range(total))
-    completed = 0
-
-    def fail_attempt(index: int, reason: str, error: str) -> None:
-        nonlocal completed
-        attempts[index] += 1
-        if attempts[index] <= supervision.retries:
-            delay = supervision.backoff(attempts[index])
-            if telemetry is not None:
-                telemetry.point_retried(index, attempts[index], reason, delay)
-            pending.append((index, monotonic() + delay))
-            return
-        if supervision.quarantines:
-            results[index] = QuarantinedPoint(
-                index=index, attempts=attempts[index], reason=reason,
-                error=error,
-            )
-            completed += 1
-            if telemetry is not None:
-                telemetry.point_quarantined(index, reason, attempts[index])
-            return
-        exc = RuntimeError(
-            f"sweep point {index} failed after {attempts[index]} attempt(s) "
-            f"({reason}): {error}"
-        )
-        if telemetry is not None:
-            telemetry.worker_died(exc)
-        raise exc
-
-    workers = [
-        _spawn_worker(ctx, fn, supervision.heartbeat_interval)
-        for _ in range(n_workers)
-    ]
-    by_conn = {slot.conn: slot for slot in workers}
-
-    def replace_worker(slot: _WorkerSlot) -> None:
-        by_conn.pop(slot.conn, None)
-        _kill_worker(slot)
-        fresh = _spawn_worker(ctx, fn, supervision.heartbeat_interval)
-        workers[workers.index(slot)] = fresh
-        by_conn[fresh.conn] = fresh
-
-    def on_death(slot: _WorkerSlot, detail: str) -> None:
-        index = slot.index
-        rss_kib = slot.rss_kib
-        slot.index = None
-        replace_worker(slot)
-        if telemetry is not None:
-            # Every worker death leaves a post-mortem, retried or not.
-            telemetry.worker_lost(index, detail, rss_kib=rss_kib)
-        if index is not None:
-            fail_attempt(index, "worker_death", detail)
-
-    try:
-        while completed < total:
-            now = monotonic()
-            # Dispatch ready work to idle workers, preserving queue order.
-            for slot in workers:
-                if slot.index is not None or not pending:
-                    continue
-                picked = None
-                for position, (index, not_before) in enumerate(pending):
-                    if not_before <= now:
-                        picked = position
-                        break
-                if picked is None:
-                    continue
-                index, _not_before = pending[picked]
-                del pending[picked]
-                slot.index = index
-                slot.started = slot.last_beat = now
-                try:
-                    slot.conn.send((index, items[index]))
-                except (BrokenPipeError, OSError) as exc:
-                    on_death(slot, f"send failed: {exc!r}")
-            # Sleep until the nearest deadline (retry release, point
-            # timeout, or hang check), bounded so silent process death
-            # is still noticed promptly.
-            deadlines = [not_before for _index, not_before in pending]
-            for slot in workers:
-                if slot.index is None:
-                    continue
-                if supervision.point_timeout is not None:
-                    deadlines.append(slot.started + supervision.point_timeout)
-                if hung_after is not None:
-                    deadlines.append(slot.last_beat + hung_after)
-            now = monotonic()
-            wait_for = 0.5
-            if deadlines:
-                wait_for = min(wait_for, max(0.01, min(deadlines) - now))
-            ready = multiprocessing.connection.wait(
-                list(by_conn), timeout=wait_for
-            )
-            for conn in ready:
-                slot = by_conn.get(conn)
-                if slot is None:
-                    continue
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    slot.process.join(timeout=1.0)  # reap to get the exitcode
-                    on_death(slot, f"pipe closed (exitcode "
-                                   f"{slot.process.exitcode})")
-                    continue
-                kind = message[0]
-                if kind == "hb":
-                    slot.last_beat = monotonic()
-                    continue
-                index, value, elapsed = message[1], message[2], message[3]
-                rss_kib = message[4] if len(message) > 4 else None
-                slot.index = None
-                slot.last_beat = monotonic()
-                slot.rss_kib = rss_kib
-                if kind == "err":
-                    # The point fn itself raised: deterministic, so a
-                    # retry would raise again — surface it (with the
-                    # telemetry post-mortem) exactly like the serial
-                    # path would.
-                    if telemetry is not None:
-                        telemetry.worker_died(value, rss_kib=rss_kib)
-                    raise value
-                results[index] = value
-                completed += 1
-                if telemetry is not None:
-                    telemetry.point_done(index, elapsed, rss_kib=rss_kib)
-                if on_complete is not None:
-                    on_complete(index, value)
-            # Deadline scan: wall-clock overruns and stale heartbeats.
-            now = monotonic()
-            for slot in list(workers):
-                index = slot.index
-                if index is None:
-                    if not slot.process.is_alive() and (
-                        pending or completed < total
-                    ):
-                        on_death(slot, "idle worker exited")
-                    continue
-                if (
-                    supervision.point_timeout is not None
-                    and now - slot.started > supervision.point_timeout
-                ):
-                    slot.index = None
-                    replace_worker(slot)
-                    fail_attempt(
-                        index, "timeout",
-                        f"exceeded {supervision.point_timeout:g}s wall clock",
-                    )
-                elif hung_after is not None and now - slot.last_beat > hung_after:
-                    slot.index = None
-                    replace_worker(slot)
-                    fail_attempt(
-                        index, "hung",
-                        f"no heartbeat for {hung_after:g}s (process alive)",
-                    )
-    finally:
-        _shutdown_workers(workers)
-    return results
+    return value, elapsed, _peak_rss_kib()
 
 
 def run_map(
@@ -492,50 +76,40 @@ def run_map(
     jobs: int = 1,
     on_complete: Optional[Callable[[int, object], None]] = None,
     telemetry: Optional["SweepTelemetry"] = None,
-    supervision: Optional[Supervision] = None,
+    indices: Optional[Sequence[int]] = None,
 ) -> List:
-    """Map ``fn`` over ``items`` through the supervised dynamic work
-    queue; results come back in input order.
+    """Map ``fn`` over ``items``; results come back in input order.
 
     ``on_complete(index, value)`` fires in *this* process as each item
     finishes (completion order, not input order) — the hook
     :func:`run_cached` uses to commit points incrementally.  ``jobs<=1``
-    runs serially in this process (the exact seed path, input order)
-    unless ``supervision`` needs a worker process to enforce a timeout.
+    (or a single item) runs serially in this process, in input order;
+    otherwise ``fn`` and the items must pickle (module-level functions
+    do).  ``indices`` gives each item's grid index, the index that
+    ``on_complete``, telemetry and errors report (default: its position
+    in ``items``).
 
     ``telemetry`` (a :class:`SweepTelemetry`) receives a ``point_done``
-    per completed item, retry/quarantine notes, and a ``worker_died``
-    (plus a flight-recorder dump) on fatal failures.  Purely
-    observational: results are identical with and without it.
-
-    ``supervision`` (a :class:`Supervision`) controls timeout, retry,
-    hang-detection and quarantine policy; the default retries each point
-    once after a worker death.  Quarantined points come back as
-    :class:`QuarantinedPoint` placeholders in the result list (and are
-    never passed to ``on_complete``).
+    per completed item, and a flight-recorder dump on every worker
+    death, failed point or interruption.  Purely observational: results
+    are identical with and without it.
     """
-    # The in-process serial path is only for the *default* policy: an
-    # explicit Supervision implies worker isolation (timeouts, hangs,
-    # and crashes can't be survived in-process).
-    supervise = supervision if supervision is not None else DEFAULT_SUPERVISION
-    if supervision is None and (jobs <= 1 or len(items) <= 1):
+    if indices is None:
+        indices = range(len(items))
+    if jobs <= 1 or len(items) <= 1:
         out = []
-        for index, item in enumerate(items):
+        for index, item in zip(indices, items):
             if telemetry is not None:
-                _index, value, elapsed = _invoke_indexed_timed((index, fn, item))
-                telemetry.point_done(index, elapsed, rss_kib=_peak_rss_kib())
+                value, elapsed, rss_kib = _timed_call(fn, item)
+                telemetry.point_done(index, elapsed, rss_kib=rss_kib)
             else:
                 value = fn(item)
             if on_complete is not None:
                 on_complete(index, value)
             out.append(value)
         return out
-    if not items:
-        return []
     try:
-        return _supervised_map(
-            fn, items, jobs, on_complete, telemetry, supervise
-        )
+        return _pool_map(fn, items, indices, jobs, on_complete, telemetry)
     except KeyboardInterrupt:
         # Interrupted sweep parent: dump the telemetry flight recorder
         # so the run-up survives the ^C / SIGTERM, then propagate.
@@ -544,28 +118,77 @@ def run_map(
         raise
 
 
-def run_configs(
-    configs: Sequence[SimulationConfig],
-    jobs: int = 1,
-) -> List[RunResult]:
-    """Run every config; results come back in input order.
+def _pool_map(fn, items: Sequence, indices: Sequence[int], jobs: int,
+              on_complete: Optional[Callable[[int, object], None]],
+              telemetry: Optional["SweepTelemetry"]) -> List:
+    """The ``jobs>1`` path: one process pool, then one fresh pool for
+    whatever a dead worker left unfinished."""
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
 
-    ``jobs<=1`` runs serially in this process (the exact seed path);
-    ``jobs>1`` spreads points across that many supervised workers.
-    """
-    return run_map(_run_one, configs, jobs)
+    results: List = [None] * len(items)
+    unfinished = list(range(len(items)))  # positions in items
+    for attempt in (1, 2):
+        # Forking is safe here: the executor forks all its fork-context
+        # workers before it starts its own thread, and the retry pool
+        # starts only after the broken one has been shut down.
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(unfinished)),
+                                   mp_context=_mp_context())
+        futures = {}
+        lost: List[int] = []
+        try:
+            for position in unfinished:
+                try:
+                    future = pool.submit(_timed_call, fn, items[position])
+                except BrokenProcessPool:  # a worker died mid-submission
+                    lost.append(position)
+                    continue
+                futures[future] = position
+            for future in as_completed(futures):
+                position = futures[future]
+                try:
+                    value, elapsed, rss_kib = future.result()
+                except BrokenProcessPool:
+                    lost.append(position)
+                    continue
+                results[position] = value
+                if telemetry is not None:
+                    telemetry.point_done(indices[position], elapsed,
+                                         rss_kib=rss_kib)
+                if on_complete is not None:
+                    on_complete(indices[position], value)
+        except BaseException as exc:
+            _abandon(pool)
+            # A raising point is deterministic, so a retry would raise
+            # again: surface it (with the post-mortem) like the serial
+            # path would.
+            if telemetry is not None and not isinstance(exc, KeyboardInterrupt):
+                telemetry.worker_died(exc)
+            raise
+        pool.shutdown()
+        if not lost:
+            return results
+        unfinished = sorted(lost)
+        named = [indices[position] for position in unfinished]
+        if attempt == 1 and telemetry is not None:
+            telemetry.worker_lost(named)
+    error = RuntimeError(
+        f"sweep point(s) {', '.join(map(str, named))} did not finish: "
+        f"a worker process died on the first attempt and on the retry"
+    )
+    if telemetry is not None:
+        telemetry.worker_died(error)
+    raise error
 
 
-def run_configs_with_metrics(
-    configs: Sequence[SimulationConfig],
-    jobs: int = 1,
-) -> Tuple[List[RunResult], Dict[str, dict]]:
-    """Like :func:`run_configs`, but each run carries a metrics-only
-    observatory; returns (results, merged metric snapshot)."""
-    pairs = run_map(_run_one_with_metrics, configs, jobs)
-    results = [result for result, _snapshot in pairs]
-    merged = merge_metric_snapshots([snapshot for _result, snapshot in pairs])
-    return results, merged
+def _abandon(pool) -> None:
+    """Drop a pool now: cancel the points not yet started and terminate
+    the workers, whose in-flight points would otherwise run to the end
+    (the executor has no public way to stop them before Python 3.14)."""
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in workers:
+        process.terminate()
 
 
 # ----------------------------------------------------------------------
@@ -586,9 +209,9 @@ class SweepTelemetry:
     sweep leaves a post-mortem of the points that led up to the death.
 
     ``quiet=True`` suppresses routine progress lines but keeps recording
-    (and still prints failure/quarantine/interrupt diagnostics) — sweep
+    (and still prints worker-death/failure/interrupt diagnostics) — sweep
     CLIs run with a quiet telemetry unless ``--progress`` is given, so
-    an interrupted or degraded sweep always leaves its post-mortem.
+    an interrupted or failed sweep always leaves its post-mortem.
     """
 
     def __init__(self, label: str = "sweep", stream=None,
@@ -605,8 +228,8 @@ class SweepTelemetry:
         self.cached = 0
         self.computed = 0
         self.stragglers: List[int] = []
-        self.quarantined: List[int] = []
-        self.retries: List[Tuple[int, int, str]] = []
+        #: points resubmitted after a worker death
+        self.retries = 0
         self.last_summary: Optional[dict] = None
         #: highest per-worker peak RSS reported so far (KiB, ru_maxrss)
         self.peak_rss_kib: Optional[int] = None
@@ -682,57 +305,28 @@ class SweepTelemetry:
         self._line(f"point {index}: computed in {elapsed:.1f}s "
                    f"[{self.done}/{self.total}{eta_text}]{rss_text}{straggler}")
 
-    def point_retried(self, index: int, attempt: int, reason: str,
-                      delay: float) -> None:
+    def worker_died(self, error: BaseException) -> None:
+        """The sweep is failing — a point raised, or a worker died again
+        on the retry: force-dump the flight recorder before it does."""
         t = self._now()
-        self.retries.append((index, attempt, reason))
-        self.recorder.note("sweep.point_retry", t, index=index,
-                           attempt=attempt, reason=reason,
-                           backoff=round(delay, 3))
-        self._line(f"point {index}: {reason}, retry {attempt} "
-                   f"in {delay:.2f}s", force=True)
-
-    def point_quarantined(self, index: int, reason: str,
-                          attempts: int) -> None:
-        self.done += 1
-        self.quarantined.append(index)
-        t = self._now()
-        self.recorder.note("sweep.quarantine", t, index=index,
-                           reason=reason, attempts=attempts)
-        self._line(f"point {index}: QUARANTINED after {attempts} "
-                   f"attempt(s) ({reason}) [{self.done}/{self.total}]",
-                   force=True)
-
-    def worker_died(self, error: BaseException,
-                    rss_kib: Optional[int] = None) -> None:
-        self._track_rss(rss_kib)
-        t = self._now()
-        extra = {"rss_kib": rss_kib} if rss_kib else {}
-        self.recorder.note("sweep.worker_death", t, error=repr(error), **extra)
-        dump = self.recorder.dump("sweep.worker_death", t, error=repr(error),
-                                  **extra)
+        self.recorder.note("sweep.worker_death", t, error=repr(error))
+        dump = self.recorder.dump("sweep.worker_death", t, error=repr(error))
         self._line(f"worker died: {error!r}", force=True)
         if dump is not None:
             self._line(f"flight recorder: {len(dump['notes'])} notes "
                        f"preserved for post-mortem", force=True)
 
-    def worker_lost(self, index: Optional[int], detail: str,
-                    rss_kib: Optional[int] = None) -> None:
-        """A supervised worker process died mid-sweep (pipe EOF, kill,
-        silent exit).  Unlike :meth:`worker_died` this is non-fatal —
-        the point is retried — but it still force-dumps the flight
-        recorder so even a survived death leaves its post-mortem."""
-        self._track_rss(rss_kib)
+    def worker_lost(self, unfinished: Sequence[int]) -> None:
+        """A worker process died mid-sweep and broke the pool.  Unlike
+        :meth:`worker_died` this is non-fatal — ``unfinished`` goes to a
+        fresh pool — but it still force-dumps the flight recorder so a
+        survived death leaves its post-mortem too."""
+        pending = list(unfinished)
+        self.retries += len(pending)
         t = self._now()
-        extra = {"rss_kib": rss_kib} if rss_kib else {}
-        if index is not None:
-            extra["index"] = index
-        self.recorder.note("sweep.worker_lost", t, detail=detail, **extra)
-        dump = self.recorder.dump("sweep.worker_lost", t, detail=detail,
-                                  **extra)
-        rss_text = (f", last peak rss {rss_kib / 1024.0:.0f}MiB"
-                    if rss_kib else "")
-        self._line(f"worker lost ({detail}){rss_text}", force=True)
+        self.recorder.note("sweep.worker_lost", t, retry=pending)
+        dump = self.recorder.dump("sweep.worker_lost", t, retry=pending)
+        self._line(f"worker lost; retrying point(s) {pending}", force=True)
         if dump is not None:
             self._line(f"flight recorder: {len(dump['notes'])} notes "
                        f"preserved for post-mortem", force=True)
@@ -754,26 +348,22 @@ class SweepTelemetry:
             "cached": self.cached,
             "computed": self.computed,
             "stragglers": list(self.stragglers),
-            "quarantined": list(self.quarantined),
-            "retries": len(self.retries),
+            "retries": self.retries,
             "wall_seconds": round(t, 3),
         }
         if self.peak_rss_kib is not None:
             summary["peak_rss_kib"] = self.peak_rss_kib
         self.recorder.note("sweep.finish", t, **{
             key: value for key, value in summary.items()
-            if key not in ("stragglers", "quarantined")
+            if key != "stragglers"
         })
         straggler_text = (f", stragglers: {self.stragglers}"
                           if self.stragglers else "")
-        quarantine_text = (f", QUARANTINED: {self.quarantined}"
-                           if self.quarantined else "")
         rss_text = (f", peak worker rss {self.peak_rss_kib / 1024.0:.0f}MiB"
                     if self.peak_rss_kib is not None else "")
         self._line(f"done: {self.cached} cached + {self.computed} computed "
                    f"of {self.total} in {t:.1f}s{rss_text}"
-                   f"{straggler_text}{quarantine_text}",
-                   force=bool(self.quarantined))
+                   f"{straggler_text}")
         self.last_summary = summary
         return summary
 
@@ -787,7 +377,6 @@ def run_cached(
     jobs: int = 1,
     cache=None,
     telemetry: Optional[SweepTelemetry] = None,
-    supervision: Optional[Supervision] = None,
 ) -> List:
     """Evaluate ``point_fn`` (config -> :class:`repro.cache.CachedRun`)
     over a grid, serving cache hits instantly and committing each
@@ -798,122 +387,41 @@ def run_cached(
 
     1. every config is fingerprinted and looked up — hits cost one JSON
        deserialize, no simulator is built;
-    2. only the misses go to the supervised work queue;
+    2. only the misses go to :func:`run_map`;
     3. each completed miss is committed from this (parent) process —
        one writer, atomic rename — so interrupting the sweep loses only
        in-flight points, and the rerun resumes from the committed ones;
     4. the session's hit/miss tally is persisted for
        ``repro cache stats``.
 
-    Results come back in grid order either way.  ``supervision`` is
-    passed through to :func:`run_map`; quarantined points appear as
-    :class:`QuarantinedPoint` entries in the returned list (never
-    committed to the cache) and are reported on stderr.
+    Results come back in grid order either way.
     """
     if telemetry is not None:
         telemetry.begin(len(configs), jobs)
     if cache is None:
-        results = run_map(point_fn, configs, jobs, telemetry=telemetry,
-                          supervision=supervision)
-        _report_quarantined(results, telemetry)
-        if telemetry is not None:
-            telemetry.finish()
-        return results
+        results = run_map(point_fn, configs, jobs, telemetry=telemetry)
+    else:
+        results = [None] * len(configs)
+        miss_indices: List[int] = []
+        for index, config in enumerate(configs):
+            hit = cache.get(config)
+            if hit is not None:
+                results[index] = hit
+                if telemetry is not None:
+                    telemetry.point_cached(index, key=cache.describe(config))
+            else:
+                miss_indices.append(index)
 
-    results: List = [None] * len(configs)
-    miss_indices: List[int] = []
-    for index, config in enumerate(configs):
-        hit = cache.get(config)
-        if hit is not None:
-            results[index] = hit
-            if telemetry is not None:
-                telemetry.point_cached(index, key=cache.describe(config))
-        else:
-            miss_indices.append(index)
+        def commit(index: int, value) -> None:
+            results[index] = value
+            cache.put(configs[index], value)
 
-    def commit(position: int, value) -> None:
-        index = miss_indices[position]
-        results[index] = value
-        cache.put(configs[index], value)
-
-    try:
-        miss_results = run_map(
-            point_fn,
-            [configs[index] for index in miss_indices],
-            jobs,
-            on_complete=commit,
-            telemetry=telemetry,
-            supervision=supervision,
-        )
-        for position, value in enumerate(miss_results):
-            if isinstance(value, QuarantinedPoint):
-                # Re-key from miss position to grid index; quarantined
-                # points are never cached, so a rerun retries them.
-                results[miss_indices[position]] = replace(
-                    value, index=miss_indices[position]
-                )
-    finally:
-        cache.commit_session()
-    _report_quarantined(results, telemetry)
+        try:
+            run_map(point_fn, [configs[index] for index in miss_indices],
+                    jobs, on_complete=commit, telemetry=telemetry,
+                    indices=miss_indices)
+        finally:
+            cache.commit_session()
     if telemetry is not None:
         telemetry.finish()
     return results
-
-
-def _report_quarantined(results: Sequence,
-                        telemetry: Optional[SweepTelemetry]) -> None:
-    """Make sure quarantined points are visible even without
-    ``--progress`` telemetry (which already prints them forcefully)."""
-    if telemetry is not None:
-        return
-    quarantined = [
-        entry.index for entry in results if isinstance(entry, QuarantinedPoint)
-    ]
-    if quarantined:
-        print(
-            f"[sweep] quarantined {len(quarantined)} point(s) after "
-            f"retries: indices {quarantined}",
-            file=sys.stderr,
-        )
-
-
-def merge_metric_snapshots(
-    snapshots: Sequence[Dict[str, dict]],
-) -> Dict[str, dict]:
-    """Merge per-run ``MetricsRegistry.snapshot()`` dicts into one.
-
-    Counters and histogram buckets sum across runs; gauges keep the
-    maximum (a fleet-wide high-water mark — gauges here are peaks like
-    heap depth, not levels that would average meaningfully).
-    """
-    merged: Dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-    for snapshot in snapshots:
-        for name, series in snapshot.get("counters", {}).items():
-            into = merged["counters"].setdefault(name, {})
-            for labels, value in series.items():
-                into[labels] = into.get(labels, 0) + value
-        for name, series in snapshot.get("gauges", {}).items():
-            into = merged["gauges"].setdefault(name, {})
-            for labels, value in series.items():
-                into[labels] = max(into.get(labels, value), value)
-        for name, series in snapshot.get("histograms", {}).items():
-            into = merged["histograms"].setdefault(name, {})
-            for labels, hist in series.items():
-                existing = into.get(labels)
-                if existing is None:
-                    into[labels] = {
-                        "count": hist.get("count", 0),
-                        "sum": hist.get("sum", 0.0),
-                        "mean": hist.get("mean", 0.0),
-                        "buckets": dict(hist.get("buckets", {})),
-                    }
-                    continue
-                existing["count"] += hist.get("count", 0)
-                existing["sum"] += hist.get("sum", 0.0)
-                existing["mean"] = (
-                    existing["sum"] / existing["count"] if existing["count"] else 0.0
-                )
-                buckets = existing["buckets"]
-                for edge, count in hist.get("buckets", {}).items():
-                    buckets[edge] = buckets.get(edge, 0) + count
-    return merged

@@ -11,7 +11,7 @@ closures capturing loop variables, unused imports).  ``repro lint
 Dynamic half — runtime sanitizers (scheduler tie-break audit and named
 RNG-stream accounting) and a double-run harness that executes a config
 twice and across ``--jobs`` and localizes the first diverging
-``repro.obs`` trace event.
+``repro.obs`` trace event or per-subsystem end-state fingerprint.
 
 CLI: ``repro lint`` and ``repro verify-determinism`` (both CI gates).
 """
@@ -52,6 +52,7 @@ from repro.simlint.verify import (
     DeterminismReport,
     Divergence,
     canonical_trace_lines,
+    capture_fingerprint,
     first_divergence,
     traced_run,
     verify_determinism,
@@ -89,6 +90,7 @@ __all__ = [
     "DeterminismReport",
     "Divergence",
     "canonical_trace_lines",
+    "capture_fingerprint",
     "first_divergence",
     "traced_run",
     "verify_determinism",

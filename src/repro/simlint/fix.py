@@ -15,7 +15,11 @@ Two rules have safe, purely mechanical fixes:
   Defaults whose expression spans lines are left alone (report-only).
 
 * **SIM108** (unused import) — drop the unused alias; the statement
-  disappears entirely when nothing on it is used.
+  disappears entirely when nothing on it is used.  A ``from`` import
+  that spans lines keeps the parenthesized one-name-per-line layout,
+  and the comments inside it: a comment ending a name's line stays with
+  that name, a comment on a line of its own stays above the next name
+  that is kept.
 
 Fixes are span edits applied bottom-up, so earlier edits never shift
 later ones.  The result must re-parse — if a rewrite would produce a
@@ -27,7 +31,9 @@ either rule (asserted by the round-trip tests).
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence, Tuple
+import io
+import tokenize
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.simlint.checks import (
     _is_mutable_default,
@@ -130,6 +136,62 @@ def _alias_text(alias: ast.alias) -> str:
     return alias.name
 
 
+def _import_comments(segment: str):
+    """Comments inside one multi-line import statement, by the position
+    of the alias they belong to: ``(head, leading, trailing, tail)`` —
+    the comment after the opening parenthesis, own-line comments above
+    each alias, the comment ending each alias's line, and own-line
+    comments after the last alias."""
+    head = None
+    leading: Dict[int, List[str]] = {}
+    trailing: Dict[int, str] = {}
+    pending: List[str] = []
+    position = -1
+    expect_name = False
+    alias_row = 0
+    for token in tokenize.generate_tokens(io.StringIO(segment).readline):
+        kind, text, row = token.type, token.string, token.start[0]
+        if kind == tokenize.NAME and text == "import":
+            expect_name = True
+        elif kind == tokenize.OP and text in ("(", ","):
+            expect_name = True
+        elif kind == tokenize.NAME and expect_name:
+            position += 1
+            expect_name = False
+            alias_row = row
+            if pending:
+                leading[position], pending = pending, []
+        elif kind == tokenize.COMMENT:
+            if position >= 0 and row == alias_row:
+                trailing[position] = text
+            elif position < 0 and row == 1:
+                head = text
+            else:
+                pending.append(text)
+    return head, leading, trailing, pending
+
+
+def _parenthesized(prefix: str, indent: str, node: ast.ImportFrom,
+                   keep: List[ast.alias], segment: str) -> str:
+    """``prefix(`` + one kept name per line + ``)``, comments carried."""
+    head, leading, trailing, tail = _import_comments(segment)
+    lines = [prefix + "(" + (f"  {head}" if head else "")]
+    carried: List[str] = []
+    for position, alias in enumerate(node.names):
+        carried.extend(leading.get(position, ()))
+        if alias not in keep:
+            continue
+        lines.extend(f"{indent}    {comment}" for comment in carried)
+        carried = []
+        line = f"{indent}    {_alias_text(alias)},"
+        if position in trailing:
+            line += f"  {trailing[position]}"
+        lines.append(line)
+    lines.extend(f"{indent}    {comment}" for comment in carried + tail)
+    lines.append(f"{indent})")
+    return "\n".join(lines)
+
+
 def _fix_unused_imports(
     source: str, tree: ast.AST, suppressions
 ) -> Tuple[List[_Edit], int]:
@@ -162,11 +224,19 @@ def _fix_unused_imports(
         if len(keep) == len(node.names):
             continue
         fixed += len(node.names) - len(keep)
-        indent = _indent_of(lines[node.lineno - 1])
-        end_col = len(lines[node.end_lineno - 1].rstrip("\n"))
         if keep:
-            text = indent + prefix + ", ".join(_alias_text(a) for a in keep)
-            edits.append((node.lineno, 0, node.end_lineno, end_col, text))
+            if isinstance(node, ast.ImportFrom) \
+                    and node.end_lineno > node.lineno:
+                text = _parenthesized(
+                    prefix, _indent_of(lines[node.lineno - 1]), node, keep,
+                    ast.get_source_segment(source, node),
+                )
+            else:
+                text = prefix + ", ".join(_alias_text(a) for a in keep)
+            # Replace the statement only: whatever follows it on its
+            # last line (a comment, ``; more``) stays.
+            edits.append((node.lineno, node.col_offset, node.end_lineno,
+                          node.end_col_offset, text))
         else:
             # delete the whole statement, trailing newline included
             edits.append((node.lineno, 0, node.end_lineno,

@@ -10,12 +10,10 @@ recomputing them.
 import dataclasses
 import json
 import os
-import time
 
 import pytest
 
 from repro.cache import CachedRun, RunCache, code_salt, run_key
-from repro.parallel import QuarantinedPoint, Supervision
 from repro.core.config import SimulationConfig
 from repro.core.resources import ResourceReport
 from repro.core.results import (
@@ -25,7 +23,7 @@ from repro.core.results import (
     RunResult,
 )
 from repro.faults import FaultPlan
-from repro.parallel import run_cached
+from repro.parallel import SweepTelemetry, run_cached
 from repro.serialization import (
     config_to_canonical_json,
     result_from_dict,
@@ -290,39 +288,20 @@ class TestRunCached:
         # All three points were committed from the parent process.
         assert RunCache(root=warm_root).stats()["entries"] == 3
 
-
-def _hanging_point(config):
-    """Sweep point that hangs on the poison seed (module-level so the
-    supervised workers can pickle it under spawn)."""
-    if config.seed == 99:
-        time.sleep(60)
-    return fake_point(config)
-
-
-class TestQuarantinedSweep:
-    def test_poison_point_is_quarantined_and_never_cached(self, tmp_path):
-        cache = RunCache(root=str(tmp_path / "c"))
-        configs = [tiny_config(seed=seed) for seed in (1, 99, 3)]
-        supervision = Supervision(point_timeout=1.0, retries=0,
-                                  backoff_base=0.05)
-        results = run_cached(_hanging_point, configs, jobs=2, cache=cache,
-                             supervision=supervision)
-        poison = results[1]
-        assert isinstance(poison, QuarantinedPoint)
-        assert poison.index == 1  # re-keyed from miss position to grid slot
-        assert poison.reason == "timeout"
-        assert results[0].extra["tag"] == 2
-        assert results[2].extra["tag"] == 2
-        # The completed points were committed; the quarantined one was
-        # not, so the next sweep retries exactly that slot.
-        fresh = RunCache(root=str(tmp_path / "c"))
-        assert fresh.get(configs[0]) is not None
-        assert fresh.get(configs[1]) is None
-        assert fresh.get(configs[2]) is not None
-        rerun = run_cached(fake_point, configs,
-                           cache=RunCache(root=str(tmp_path / "c")))
-        assert not any(isinstance(r, QuarantinedPoint) for r in rerun)
-        assert [r.extra["tag"] for r in rerun] == [2, 2, 2]
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_telemetry_names_grid_indices_not_miss_positions(self, tmp_path,
+                                                             jobs):
+        configs = [tiny_config(n_devs=n) for n in (2, 3, 4, 5)]
+        root = str(tmp_path / "c")
+        run_cached(fake_point, configs[::2], cache=RunCache(root=root))
+        telemetry = SweepTelemetry(label="t", quiet=True)
+        run_cached(fake_point, configs, jobs=jobs, cache=RunCache(root=root),
+                   telemetry=telemetry)
+        notes = telemetry.recorder.recent()
+        assert [note["index"] for note in notes
+                if note["kind"] == "sweep.cache_hit"] == [0, 2]
+        assert sorted(note["index"] for note in notes
+                      if note["kind"] == "sweep.point_done") == [1, 3]
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.core.churn import (
     DEFAULT_PHI,
-    ChurnState,
     DynamicChurn,
     StaticChurn,
     leaving_factor,

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.container.build import BuildContext, ImageBuilder
-from repro.container.container import Container, ContainerError
+from repro.container.container import ContainerError
 from repro.container.image import Image
 from repro.container.runtime import ContainerRuntime
-from repro.container.veth import NetNamespace, VethPair
 from repro.netsim.node import Node
 
 

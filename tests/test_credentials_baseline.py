@@ -4,7 +4,6 @@ telnetd, the dictionary loader, and the end-to-end vector comparison."""
 import pytest
 
 from repro.binaries.logind import (
-    DEFAULT_CREDENTIALS,
     make_login_telnetd_binary,
 )
 from repro.core import DDoSim, SimulationConfig

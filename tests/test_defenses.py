@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.defenses import ClassifierFirewall, PerSourcePolicer
-from repro.analysis.detection import LogisticRegressionClassifier
 from repro.core import DDoSim, SimulationConfig
 from repro.netsim.node import Node
 from repro.netsim.sink import PacketSink

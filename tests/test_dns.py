@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.services.dns import (
-    CLASS_IN,
     DnsDecodeError,
     DnsMessage,
-    DnsQuestion,
     DnsResourceRecord,
     FLAG_QR,
     FLAG_RD,

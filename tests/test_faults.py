@@ -3,7 +3,6 @@ recovery semantics it relies on (bot backoff, C&C pruning, container
 restart, admin link state)."""
 
 import random
-from dataclasses import replace
 
 import pytest
 

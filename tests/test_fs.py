@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.container.fs import (
-    FileEntry,
     FilesystemError,
     InMemoryFilesystem,
     normalize_path,

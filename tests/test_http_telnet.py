@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.process import SimProcess
-from repro.services.http import HttpError, HttpFileServer, http_get
+from repro.services.http import HttpFileServer, http_get
 from repro.services.telnet import TelnetServer, telnet_exec
 from tests.helpers import MiniNet
 

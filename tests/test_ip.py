@@ -10,7 +10,6 @@ from repro.netsim.address import (
 from repro.netsim.headers import PROTO_UDP, Ipv6Header, UdpHeader
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet, PacketTrain
-from repro.netsim.topology import StarInternet
 
 
 def send_udp(node, destination, payload_size=10, dst_port=9, src_port=1000):

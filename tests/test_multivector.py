@@ -3,7 +3,6 @@
 import pytest
 
 from repro.netsim.node import Node
-from repro.netsim.sink import PacketSink
 from tests.helpers import MiniNet
 from tests.test_botnet import make_bot_host, make_cnc_host
 

@@ -1,30 +1,25 @@
-"""Parallel sweep sharding: jobs=N must be a pure wall-clock knob.
+"""Parallel sweeps: jobs=N must be a pure wall-clock knob.
 
 Grid points share nothing (each builds its own simulator from its own
-seeded config), so sharding across worker processes may never change a
-row.  These tests pin that contract: serial and parallel execution
-produce identical results, in input order, and merged metric snapshots
-aggregate exactly.
+seeded config), so spreading them across worker processes may never
+change a row.  These tests pin that contract — serial and parallel
+execution produce identical results, in input order — and the pool's
+failure handling: a raising point fails the sweep like the serial path,
+a worker death is retried once, and every death leaves a post-mortem.
 """
 
-import dataclasses
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.core.config import SimulationConfig
-from repro.parallel import (
-    QuarantinedPoint,
-    Supervision,
-    SweepTelemetry,
-    default_jobs,
-    merge_metric_snapshots,
-    run_configs,
-    run_configs_with_metrics,
-    run_map,
-)
+from repro.parallel import SweepTelemetry, run_map
 
 
 def _square(value):
@@ -42,40 +37,17 @@ class TestRunMap:
     def test_single_item_short_circuits_pool(self):
         assert run_map(_square, [7], jobs=8) == [49]
 
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
-
-
-def _tiny_config(seed):
-    return SimulationConfig(
-        n_devs=4,
-        seed=seed,
-        attack_duration=5.0,
-        sim_duration=30.0,
-    )
-
-
-class TestRunConfigs:
-    def test_parallel_results_identical_to_serial(self):
-        configs = [_tiny_config(seed) for seed in (1, 2, 3)]
-        serial = run_configs(configs, jobs=1)
-        parallel = run_configs(configs, jobs=3)
-        assert [dataclasses.asdict(r) for r in serial] == [
-            dataclasses.asdict(r) for r in parallel
-        ]
-
-    def test_metrics_variant_matches_and_merges(self):
-        configs = [_tiny_config(seed) for seed in (1, 2)]
-        serial_results, serial_merged = run_configs_with_metrics(configs, jobs=1)
-        parallel_results, parallel_merged = run_configs_with_metrics(configs, jobs=2)
-        assert [dataclasses.asdict(r) for r in serial_results] == [
-            dataclasses.asdict(r) for r in parallel_results
-        ]
-        assert serial_merged == parallel_merged
-        # Every run schedules events, so the merged counter must cover
-        # both runs (strictly more than either one alone).
-        counters = serial_merged["counters"]
-        assert counters, "runs must export at least one counter"
+    def test_import_leaves_multiprocessing_unloaded(self):
+        # The pool is imported on the jobs>1 path only, so the serial
+        # path (and the set-up time perfbench counts) never pays for it.
+        code = ("import sys, repro.parallel; "
+                "print(sorted(m for m in ('multiprocessing', 'pickle', "
+                "'socket', 'subprocess') if m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.strip() == "[]"
 
 
 class TestSweepEquivalence:
@@ -96,12 +68,6 @@ class TestSweepEquivalence:
         assert serial == parallel
 
 
-def _hang_on_two(value):
-    if value == 2:
-        time.sleep(60)
-    return value * 10
-
-
 def _die_once(item):
     value, flag = item
     if value == 1 and not os.path.exists(flag):
@@ -110,18 +76,10 @@ def _die_once(item):
     return value + 100
 
 
-def _always_die(_value):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _play_dead(value):
-    if value == 0:
-        import repro.parallel as parallel_module
-
-        # Worker-side test hook: stop heartbeating but stay alive, so
-        # only stale-heartbeat detection (not process death) can save us.
-        parallel_module._heartbeat_suppressed.set()
-        time.sleep(60)
+def _two_always_dies(value):
+    if value == 2:
+        time.sleep(0.2)  # let the other points finish first
+        os.kill(os.getpid(), signal.SIGKILL)
     return value
 
 
@@ -131,35 +89,14 @@ def _boom(value):
     return value
 
 
-class TestSupervisionPolicy:
-    def test_backoff_is_capped_exponential(self):
-        sup = Supervision(backoff_base=0.25, backoff_cap=8.0)
-        assert [sup.backoff(n) for n in (1, 2, 3, 6, 10)] == [
-            0.25, 0.5, 1.0, 8.0, 8.0,
-        ]
-
-    def test_quarantine_arms_with_point_timeout(self):
-        assert not Supervision().quarantines
-        assert Supervision(point_timeout=5.0).quarantines
-        assert not Supervision(point_timeout=5.0, quarantine=False).quarantines
-        assert Supervision(quarantine=True).quarantines
-
-    def test_hang_detection_arms_with_point_timeout(self):
-        assert Supervision().effective_hung_after is None
-        assert Supervision(point_timeout=5.0).effective_hung_after == 5.0
-        assert Supervision(hung_after=2.0).effective_hung_after == 2.0
+def _boom_beside_a_slow_point(value):
+    if value == 0:
+        time.sleep(60)
+    raise ValueError("bad point")
 
 
 class TestSupervisedExecution:
-    def test_timeout_quarantines_only_the_poison_point(self):
-        sup = Supervision(point_timeout=1.0, retries=1, backoff_base=0.05)
-        results = run_map(_hang_on_two, [0, 1, 2, 3], jobs=2, supervision=sup)
-        assert results[0] == 0 and results[1] == 10 and results[3] == 30
-        poison = results[2]
-        assert isinstance(poison, QuarantinedPoint)
-        assert poison.index == 2
-        assert poison.reason == "timeout"
-        assert poison.attempts == 2  # original try + one retry
+    """The parent watches the pool: failures surface, deaths retry once."""
 
     def test_worker_death_retries_once_by_default(self, tmp_path):
         flag = str(tmp_path / "died-once")
@@ -167,77 +104,38 @@ class TestSupervisedExecution:
         assert run_map(_die_once, items, jobs=2) == [100, 101, 102]
         assert os.path.exists(flag), "the worker must actually have died"
 
-    def test_exhausted_retries_raise_without_quarantine(self):
-        sup = Supervision(retries=1, backoff_base=0.05)
-        with pytest.raises(RuntimeError, match="worker_death"):
-            run_map(_always_die, [0], jobs=2, supervision=sup)
-
-    def test_hung_worker_detected_by_stale_heartbeat(self):
-        sup = Supervision(point_timeout=30.0, retries=0, hung_after=1.0,
-                          backoff_base=0.05)
-        results = run_map(_play_dead, [0, 1], jobs=2, supervision=sup)
-        assert isinstance(results[0], QuarantinedPoint)
-        assert results[0].reason == "hung"
-        assert results[1] == 1
+    def test_worker_killing_point_fails_after_one_retry(self):
+        with pytest.raises(RuntimeError, match=r"sweep point\(s\) 2 did not "
+                                               r"finish.*on the retry"):
+            run_map(_two_always_dies, [0, 1, 2], jobs=2)
 
     def test_point_exception_propagates_like_serial(self):
         with pytest.raises(ValueError, match="bad point"):
             run_map(_boom, [0, 1], jobs=2)
 
-    def test_serial_path_honors_point_timeout(self):
-        # A timeout policy cannot be enforced in-process, so jobs=1
-        # must still route through a supervised worker.
-        sup = Supervision(point_timeout=1.0, retries=0)
-        results = run_map(_hang_on_two, [2], jobs=1, supervision=sup)
-        assert isinstance(results[0], QuarantinedPoint)
+    def test_point_exception_stops_the_other_workers(self):
+        with pytest.raises(ValueError, match="bad point"):
+            run_map(_boom_beside_a_slow_point, [0, 1], jobs=2)
+        # The slow point's worker is stopped, not left to run for 60 s.
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
-    def test_telemetry_records_retries_and_quarantine(self, capsys):
+    def test_every_worker_death_dumps_the_flight_recorder(self, tmp_path):
+        flag = str(tmp_path / "died-once")
         telemetry = SweepTelemetry(label="t", quiet=True)
-        telemetry.begin(2, 2)
-        sup = Supervision(point_timeout=1.0, retries=1, backoff_base=0.05)
-        run_map(_hang_on_two, [0, 2], jobs=2, supervision=sup,
+        telemetry.begin(3, 2)
+        run_map(_die_once, [(value, flag) for value in range(3)], jobs=2,
                 telemetry=telemetry)
-        summary = telemetry.finish()
-        assert summary["quarantined"] == [1]
-        assert summary["retries"] >= 1
-        kinds = [note["kind"] for note in telemetry.recorder.recent()]
-        assert "sweep.point_retry" in kinds
-        assert "sweep.quarantine" in kinds
-        err = capsys.readouterr().err
-        assert "QUARANTINED" in err  # forced through quiet mode
+        assert [dump["reason"] for dump in telemetry.recorder.dumps] == [
+            "sweep.worker_lost"]
+        assert 1 in telemetry.recorder.dumps[0]["retry"]
+        assert telemetry.finish()["retries"] >= 1
 
-
-class TestMergeMetricSnapshots:
-    def test_counters_sum_per_label(self):
-        merged = merge_metric_snapshots([
-            {"counters": {"events": {"": 3, "a=1": 2}}},
-            {"counters": {"events": {"": 4}}},
-        ])
-        assert merged["counters"]["events"] == {"": 7, "a=1": 2}
-
-    def test_gauges_keep_high_water_mark(self):
-        merged = merge_metric_snapshots([
-            {"gauges": {"depth": {"": 9}}},
-            {"gauges": {"depth": {"": 4}}},
-        ])
-        assert merged["gauges"]["depth"] == {"": 9}
-
-    def test_histograms_sum_and_recompute_mean(self):
-        merged = merge_metric_snapshots([
-            {"histograms": {"lat": {"": {
-                "count": 2, "sum": 4.0, "mean": 2.0, "buckets": {"1": 1, "inf": 2},
-            }}}},
-            {"histograms": {"lat": {"": {
-                "count": 2, "sum": 8.0, "mean": 4.0, "buckets": {"inf": 2},
-            }}}},
-        ])
-        hist = merged["histograms"]["lat"][""]
-        assert hist["count"] == 4
-        assert hist["sum"] == pytest.approx(12.0)
-        assert hist["mean"] == pytest.approx(3.0)
-        assert hist["buckets"] == {"1": 1, "inf": 4}
-
-    def test_empty_input_yields_empty_families(self):
-        assert merge_metric_snapshots([]) == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+        telemetry = SweepTelemetry(label="t", quiet=True)
+        telemetry.begin(3, 2)
+        with pytest.raises(RuntimeError):
+            run_map(_two_always_dies, [0, 1, 2], jobs=2, telemetry=telemetry)
+        assert [dump["reason"] for dump in telemetry.recorder.dumps] == [
+            "sweep.worker_lost", "sweep.worker_death"]

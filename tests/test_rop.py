@@ -1,7 +1,6 @@
 """Unit tests for ROP: gadget discovery, chain building, interpretation,
 and the mitigation behaviours (W^X, ASLR) the paper's attack model assumes."""
 
-import random
 
 import pytest
 

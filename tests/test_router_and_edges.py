@@ -7,7 +7,6 @@ from repro.netsim.headers import PROTO_UDP, UdpHeader
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 from repro.netsim.sink import PacketSink
-from repro.netsim.topology import StarInternet
 
 
 class TestRouterBehaviour:

@@ -125,3 +125,20 @@ class TestCli:
     def test_invalid_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_unwritable_output_fails_before_the_run(self, tmp_path,
+                                                    monkeypatch):
+        def forbidden_run(self):
+            raise AssertionError("ran the simulation before checking --json")
+
+        monkeypatch.setattr(DDoSim, "run", forbidden_run)
+        with pytest.raises(FileNotFoundError):
+            main(["run", "--json", str(tmp_path / "missing" / "x.json")])
+
+    def test_failed_run_keeps_an_earlier_output_file(self, tmp_path):
+        out = tmp_path / "result.json"
+        out.write_text("earlier")
+        with pytest.raises(FileNotFoundError):
+            main(["run", "--json", str(out),
+                  "--faults", str(tmp_path / "missing-plan.json")])
+        assert out.read_text() == "earlier"

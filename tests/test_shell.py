@@ -4,7 +4,6 @@ import pytest
 
 from repro.binaries.shell import ShellError, parse_url
 from repro.netsim.address import Ipv4Address, Ipv6Address
-from repro.netsim.process import SimProcess
 from repro.services.http import HttpFileServer
 from tests.helpers import MiniNet
 

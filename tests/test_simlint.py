@@ -651,6 +651,41 @@ class TestAutofix:
         source = "def broken(:\n"
         assert fix_source(source, path="mod.py") == (source, 0)
 
+    def test_multiline_import_keeps_layout_and_comments(self):
+        source = (
+            "if True:\n"
+            "    from collections import (  # stdlib\n"
+            "        # containers\n"
+            "        OrderedDict,\n"
+            "        deque,  # the work queue\n"
+            "        namedtuple as nt,\n"
+            "        # helpers\n"
+            "        ChainMap,\n"
+            "    )  # noqa\n"
+            "q, p = deque(), nt\n"
+        )
+        once, n1 = fix_source(source, path="mod.py")
+        twice, n2 = fix_source(once, path="mod.py")
+        assert (n1, n2) == (2, 0)
+        assert twice == once == (
+            "if True:\n"
+            "    from collections import (  # stdlib\n"
+            "        # containers\n"
+            "        deque,  # the work queue\n"
+            "        namedtuple as nt,\n"
+            "        # helpers\n"
+            "    )  # noqa\n"
+            "q, p = deque(), nt\n"
+        )
+        assert codes_of(lint_source(once, path="mod.py")) == []
+
+    def test_single_line_import_keeps_trailing_comment(self):
+        source = ("from collections import deque, OrderedDict  # hot path\n"
+                  "q = deque()\n")
+        fixed, n = fix_source(source, path="mod.py")
+        assert n == 1
+        assert fixed.splitlines()[0] == "from collections import deque  # hot path"
+
     def test_fix_paths_rewrites_on_disk(self, tmp_path):
         target = tmp_path / "mod.py"
         target.write_text("import os\nx = 1\n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.simulator import SimulationError, Simulator
+from repro.netsim.simulator import SimulationError
 
 
 class TestScheduling:

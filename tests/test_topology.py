@@ -4,7 +4,6 @@ import pytest
 
 from repro.netsim.node import Node
 from repro.netsim.sink import PacketSink
-from repro.netsim.topology import StarInternet
 
 
 class TestAttachment:

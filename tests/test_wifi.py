@@ -6,10 +6,9 @@ import pytest
 
 from repro.hardware.testbed import WifiHostLink, WifiTestbedInternet
 from repro.hardware.wifi import CW_MIN, WifiChannel, WifiDevice
-from repro.netsim.headers import PROTO_UDP, UdpHeader, ip_header_for
+from repro.netsim.headers import PROTO_UDP, UdpHeader
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
-from repro.netsim.simulator import Simulator
 from repro.netsim.sink import PacketSink
 
 
