@@ -22,7 +22,7 @@ class AddressError(ValueError):
 class _IntAddress:
     """Shared machinery for fixed-width integer-backed addresses."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_hash")
     BITS: int = 0
 
     def __init__(self, value: int):
@@ -32,6 +32,15 @@ class _IntAddress:
                 f"{type(self).__name__} value {value:#x} out of range (0..2^{self.BITS})"
             )
         self._value = value
+        # Cached: addresses key routing tables and sink/flow dicts on
+        # the per-packet path.  The value is the one the tuple would
+        # hash to, so dict and set orders do not depend on the cache.
+        self._hash = hash((type(self).__name__, value))
+
+    def __reduce__(self):
+        # Rebuild through __init__: the cached hash is per-process
+        # (string hashing is salted), so it must never be pickled.
+        return (type(self), (self._value,))
 
     @property
     def value(self) -> int:
@@ -42,7 +51,7 @@ class _IntAddress:
         return type(other) is type(self) and other._value == self._value  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._value))
+        return self._hash
 
     def __lt__(self, other: "_IntAddress") -> bool:
         if type(other) is not type(self):

@@ -173,5 +173,5 @@ class PointToPointChannel(Channel):
             # each member's arrival with the exact op sequence the
             # per-packet path uses (completion + delay, one add).
             packet.link_delay = self.delay
-        # Receive events are never cancelled: fire-and-forget freelist path.
+        # Receive events are never cancelled: a handle-free entry.
         self.sim.schedule_bare(self.delay, peer.receive, packet)

@@ -143,7 +143,7 @@ class PointToPointDevice(NetDevice):
         self._transmitting = True
         # Per-packet serialization delay; a train occupies the wire for
         # count packets back to back.  Completion events are never
-        # cancelled, so the fire-and-forget freelist path applies.
+        # cancelled, so they go in as handle-free entries.
         tx_delay = packet.size * 8.0 / self.data_rate_bps
         count = packet.count
         if count > 1:

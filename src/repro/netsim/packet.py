@@ -32,14 +32,16 @@ _uid_counter = itertools.count(1)
 class Packet:
     """A simulated packet.
 
-    ``size`` always reflects the total wire size (payload plus all pushed
-    headers), which is what links serialize and queues count.  It is
-    cached and maintained incrementally on header push/pop — the flood
-    datapath reads it at every queue/device/channel touch.
+    ``size`` is the wire size in bytes of *one* packet: payload plus all
+    pushed headers (for a train, the per-packet size — use
+    ``total_size`` for bytes on the wire).  It is what links serialize
+    and queues count, a plain attribute maintained incrementally on
+    header push/pop — the flood datapath reads it at every
+    queue/device/channel touch.
     """
 
     __slots__ = ("uid", "payload", "payload_size", "headers", "created_at",
-                 "span", "_size")
+                 "span", "size")
 
     #: how many wire packets this object represents (PacketTrain overrides)
     count: int = 1
@@ -73,7 +75,7 @@ class Packet:
         # tracking is on); queues and sinks attribute drops/deliveries
         # back through it.
         self.span: Optional[str] = None
-        self._size = self.payload_size
+        self.size = self.payload_size
 
     # ------------------------------------------------------------------
     # Header stack
@@ -81,7 +83,7 @@ class Packet:
     def add_header(self, header: Header) -> None:
         """Push ``header`` on top of the stack (outermost last)."""
         self.headers.append(header)
-        self._size += header.wire_size
+        self.size += header.wire_size
 
     def remove_header(self, header_type: Type[H]) -> H:
         """Pop the top header, asserting it is of ``header_type``."""
@@ -93,7 +95,7 @@ class Packet:
                 f"top header is {type(top).__name__}, expected {header_type.__name__}"
             )
         self.headers.pop()
-        self._size -= top.wire_size
+        self.size -= top.wire_size
         return top
 
     def peek_header(self, header_type: Type[H]) -> Optional[H]:
@@ -104,16 +106,9 @@ class Packet:
         return None
 
     @property
-    def size(self) -> int:
-        """Wire size in bytes of *one* packet: payload plus all pushed
-        headers (for a train, the per-packet size — use ``total_size``
-        for bytes on the wire)."""
-        return self._size
-
-    @property
     def total_size(self) -> int:
         """Total bytes this object puts on the wire: ``size * count``."""
-        return self._size * self.count
+        return self.size * self.count
 
     def copy(self) -> "Packet":
         """Shallow-copy the packet with a fresh uid (headers are shared
@@ -122,7 +117,7 @@ class Packet:
                        self.created_at)
         clone.headers = list(self.headers)
         clone.span = self.span
-        clone._size = self._size
+        clone.size = self.size
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -162,7 +157,7 @@ class PacketTrain(Packet):
         clone = PacketTrain(self.payload_size, self.count, self.created_at)
         clone.headers = list(self.headers)
         clone.span = self.span
-        clone._size = self._size
+        clone.size = self.size
         clone.spacing = self.spacing
         clone.tx_start = self.tx_start
         clone.link_delay = self.link_delay

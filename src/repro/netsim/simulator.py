@@ -7,13 +7,16 @@ in ``repro`` — links, transports, containers, binaries, the botnet —
 schedules callbacks here.
 
 The scheduler is deliberately minimal and fast: DDoS-flood experiments
-push millions of events through it, so the hot path cuts allocation two
-ways:
+push millions of events through it, so the hot path is kept lean:
 
+* The queue holds ``(time, seq, callback, args, handle)`` entries, so
+  ``heapq`` orders events by comparing tuples in C; the scheduler
+  protocol takes and returns these entries.
 * :meth:`Simulator.schedule_bare` is a fire-and-forget variant of
-  :meth:`Simulator.schedule` that returns no handle and recycles its
-  event objects through a freelist — the datapath (device serialization,
-  channel propagation) uses it, because nobody ever cancels those events.
+  :meth:`Simulator.schedule` that returns no handle: its entry carries
+  ``handle=None`` and allocates no event object — the datapath (device
+  serialization, channel propagation) uses it, because nobody ever
+  cancels those events.
 * Cancelled events are tombstones; the simulator keeps an exact live
   count (``pending_events``) and compacts the queue when tombstones
   outnumber live events, so retransmit/churn cancellation storms cannot
@@ -44,23 +47,18 @@ class ScheduledEvent:
 
     Mirrors NS-3's ``EventId``: holding on to the handle lets callers
     ``cancel()`` the event before it fires (used heavily by retransmission
-    timers and churn).  ``_sim`` backlinks to the owning simulator so a
-    cancellation updates its live-event accounting; it is cleared when the
-    event fires, making late ``cancel()`` calls harmless no-ops.
-    ``recycle`` marks freelist events (``schedule_bare``), which hand out
-    no handle and are reused after firing.
+    timers and churn).  The queue entry holds the callback; the handle
+    rides in the entry's last slot.  ``_sim`` backlinks to the owning
+    simulator so a cancellation updates its live-event accounting; it is
+    cleared when the event fires, making late ``cancel()`` calls
+    harmless no-ops.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "recycle", "_sim")
+    __slots__ = ("cancelled", "_sim")
 
-    def __init__(self, time: float, seq: int, callback: Callable, args: tuple):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
+    def __init__(self, sim: "Simulator"):
         self.cancelled = False
-        self.recycle = False
-        self._sim = None
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event's callback from running when its time comes."""
@@ -71,14 +69,9 @@ class ScheduledEvent:
         if sim is not None:
             sim._note_cancel()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledEvent t={self.time:.6f} #{self.seq} {state}>"
+        return f"<ScheduledEvent {state}>"
 
 
 class Simulator:
@@ -108,7 +101,6 @@ class Simulator:
         self._stopped = False
         self._live = 0        # scheduled, not yet fired or cancelled
         self._tombstones = 0  # cancelled but still queued
-        self._free: list = []  # recycled schedule_bare event objects
         self.events_executed: int = 0
         #: observability hub (registry + tracer + profiler); the default
         #: null observatory keeps run() on the uninstrumented fast loop.
@@ -158,10 +150,9 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self._now}"
             )
         self._seq += 1
-        event = ScheduledEvent(time, self._seq, callback, args)
-        event._sim = self
+        event = ScheduledEvent(self)
         self._live += 1
-        self._sched.push(event)
+        self._sched.push((time, self._seq, callback, args, event))
         return event
 
     def schedule_now(self, callback: Callable, *args: Any) -> ScheduledEvent:
@@ -170,28 +161,18 @@ class Simulator:
         return self.schedule_at(self._now, callback, *args)
 
     def schedule_bare(self, delay: float, callback: Callable, *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, recycled events.
+        """Fire-and-forget :meth:`schedule`: no handle, no event object.
 
-        The event object comes from (and returns to) a freelist, so a
-        steady-state flood allocates no event objects at all.  Use only
-        where the caller drops the handle unconditionally — these events
-        cannot be cancelled, which is what makes recycling safe.
+        The queue entry carries ``handle=None``, so a steady-state flood
+        allocates one tuple per event and nothing else.  Use only where
+        the caller drops the handle unconditionally — these events
+        cannot be cancelled.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = self._now + delay
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-        else:
-            event = ScheduledEvent(self._now + delay, self._seq, callback, args)
-            event.recycle = True
         self._live += 1
-        self._sched.push(event)
+        self._sched.push((self._now + delay, self._seq, callback, args, None))
 
     def schedule_bare_at(self, time: float, callback: Callable, *args: Any) -> None:
         """:meth:`schedule_bare` at an absolute virtual ``time``.
@@ -205,18 +186,8 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self._now}"
             )
         self._seq += 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-        else:
-            event = ScheduledEvent(time, self._seq, callback, args)
-            event.recycle = True
         self._live += 1
-        self._sched.push(event)
+        self._sched.push((time, self._seq, callback, args, None))
 
     def _note_cancel(self) -> None:
         """Live/tombstone bookkeeping for one cancellation; compacts the
@@ -267,48 +238,37 @@ class Simulator:
     def _run_heap(self, until: Optional[float]) -> None:
         """The inlined hot loop for the default binary-heap scheduler."""
         heap = self._heap
-        free = self._free
+        limit = float("inf") if until is None else until
         while heap and not self._stopped:
-            event = heap[0]
-            if until is not None and event.time > until:
+            if heap[0][0] > limit:
                 break
-            heappop(heap)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = event.time
+            when, _, callback, args, handle = heappop(heap)
+            if handle is not None:
+                if handle.cancelled:
+                    self._tombstones -= 1
+                    continue
+                handle._sim = None  # fired: late cancel() is a no-op
+            self._now = when
             self._live -= 1
             self.events_executed += 1
-            callback = event.callback
-            args = event.args
-            if event.recycle:
-                event.callback = event.args = None  # drop refs for reuse
-                free.append(event)
-            else:
-                event._sim = None  # fired: late cancel() is a no-op
             callback(*args)
 
     def _run_generic(self, until: Optional[float]) -> None:
         """Scheduler-agnostic loop (wrapped or custom schedulers)."""
         sched = self._sched
-        free = self._free
         while not self._stopped:
-            event = sched.pop_next(until)
-            if event is None:
+            entry = sched.pop_next(until)
+            if entry is None:
                 break
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = event.time
+            when, _, callback, args, handle = entry
+            if handle is not None:
+                if handle.cancelled:
+                    self._tombstones -= 1
+                    continue
+                handle._sim = None
+            self._now = when
             self._live -= 1
             self.events_executed += 1
-            callback = event.callback
-            args = event.args
-            if event.recycle:
-                event.callback = event.args = None
-                free.append(event)
-            else:
-                event._sim = None
             callback(*args)
 
     def _run_instrumented(self, until: Optional[float]) -> None:
@@ -316,7 +276,6 @@ class Simulator:
         and ``sched.fire`` trace events.  Split from :meth:`run` so the
         default loop stays the uninstrumented hot path."""
         sched = self._sched
-        free = self._free
         profiler = self.obs.profiler
         tracer = self.obs.tracer
         trace_on = tracer.enabled
@@ -328,22 +287,18 @@ class Simulator:
         while not self._stopped:
             if profiler is not None and len(sched) > profiler.heap_high_water:
                 profiler.heap_high_water = len(sched)
-            event = sched.pop_next(until)
-            if event is None:
+            entry = sched.pop_next(until)
+            if entry is None:
                 break
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = event.time
+            when, _, callback, args, handle = entry
+            if handle is not None:
+                if handle.cancelled:
+                    self._tombstones -= 1
+                    continue
+                handle._sim = None
+            self._now = when
             self._live -= 1
             self.events_executed += 1
-            callback = event.callback
-            args = event.args
-            if event.recycle:
-                event.callback = event.args = None
-                free.append(event)
-            else:
-                event._sim = None
             if trace_on:
                 tracer.emit("sched.fire", self._now, site=site_of(callback))
             if profiler is not None:
@@ -360,8 +315,8 @@ class Simulator:
     def peek_next_time(self) -> Optional[float]:
         """Virtual time of the next pending (non-cancelled) event, if any."""
         self._tombstones -= self._sched.drop_cancelled_head()
-        event = self._sched.peek()
-        return event.time if event is not None else None
+        entry = self._sched.peek()
+        return entry[0] if entry is not None else None
 
     @property
     def pending_events(self) -> int:
@@ -376,9 +331,10 @@ class Simulator:
         return len(self._sched)
 
     def fingerprint_events(self):
-        """Every queued event — tombstones included — for end-state
-        fingerprints; iteration order is scheduler-internal, callers
-        must sort by the (time, seq) key."""
+        """Every queued ``(time, seq, callback, args, handle)`` entry —
+        tombstones included — for end-state fingerprints; iteration
+        order is scheduler-internal, callers must sort by the
+        (time, seq) key."""
         return self._sched.events()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -123,6 +123,6 @@ class Udp:
         if handler is None:
             handler = self.default_handler
         if handler is None:
-            self.rx_unreachable += 1
+            self.rx_unreachable += packet.count
             return
         handler(packet, header, ip_header)

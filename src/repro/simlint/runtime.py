@@ -91,17 +91,18 @@ class TieBreakAuditor:
         return self._inner.remove_cancelled()
 
     # -- audited operations -------------------------------------------
-    def push(self, event) -> None:
+    def push(self, entry: tuple) -> None:
         self.pushes += 1
-        site = site_of(event.callback)
-        entry = self._ties_at.get(event.time)
-        if entry is None:
-            self._ties_at[event.time] = [1, {site}]
-            self._inner.push(event)
+        time = entry[0]
+        site = site_of(entry[2])
+        tie = self._ties_at.get(time)
+        if tie is None:
+            self._ties_at[time] = [1, {site}]
+            self._inner.push(entry)
             return
-        entry[0] += 1
-        sites = entry[1]
-        if entry[0] == 2:
+        tie[0] += 1
+        sites = tie[1]
+        if tie[0] == 2:
             self.tied_timestamps += 1
         if site not in sites:
             # Same-site ties keep FIFO meaning (a pacer re-arming
@@ -109,21 +110,21 @@ class TieBreakAuditor:
             self.cross_site_ties += 1
             if len(self.samples) < _SAMPLE_CAP:
                 self.samples.append({
-                    "time": event.time,
+                    "time": time,
                     "sites": sorted(sites | {site}),
                 })
             sites.add(site)
-        self._inner.push(event)
+        self._inner.push(entry)
 
     def pop_next(self, limit: Optional[float] = None):
-        event = self._inner.pop_next(limit)
-        if event is not None and len(self._ties_at) > 8192:
-            now = event.time
+        entry = self._inner.pop_next(limit)
+        if entry is not None and len(self._ties_at) > 8192:
+            now = entry[0]
             self._ties_at = {
-                time: entry for time, entry in self._ties_at.items()
+                time: tie for time, tie in self._ties_at.items()
                 if time >= now
             }
-        return event
+        return entry
 
     def report(self) -> dict:
         return {

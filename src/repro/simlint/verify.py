@@ -189,18 +189,19 @@ def _scheduler_entries(sim) -> List[list]:
     """The pending event queue as ``[time, seq, cancelled, site, args]``
     rows in total (time, seq) order — tombstones included, because a
     cancelled-but-not-compacted entry still shifts heap internals."""
+    from repro.netsim.scheduler import is_cancelled
     from repro.obs.profiler import site_of
 
     entries = []
-    for event in sim.fingerprint_events():
-        args = [_describe(arg) for arg in event.args] if event.args else []
+    for entry in sim.fingerprint_events():
+        time, seq, callback, args, _ = entry
         entries.append(
             [
-                event.time,
-                event.seq,
-                1 if event.cancelled else 0,
-                site_of(event.callback) if event.callback is not None else "",
-                args,
+                time,
+                seq,
+                int(is_cancelled(entry)),
+                site_of(callback),
+                [_describe(arg) for arg in args],
             ]
         )
     entries.sort(key=lambda row: (row[0], row[1]))

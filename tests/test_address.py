@@ -1,5 +1,11 @@
 """Unit + property tests for MAC/IPv4/IPv6 addresses."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -145,3 +151,53 @@ class TestAllocators:
         pool._next_host = 0xFFFE
         with pytest.raises(AddressError):
             pool.allocate()
+
+
+ADDRESS_VALUES = [
+    (Ipv6Address, 0x20010DB8000000010000000000000001),
+    (Ipv4Address, 0x0A000001),
+    (MacAddress, 0x020000000001),
+]
+
+
+class TestCachedHash:
+    @pytest.mark.parametrize("cls,value", ADDRESS_VALUES)
+    def test_hash_equals_the_tuple_hash(self, cls, value):
+        # dict and set orders must not depend on the cache
+        assert hash(cls(value)) == hash((cls.__name__, value))
+
+    @pytest.mark.parametrize("cls,value", ADDRESS_VALUES)
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+    def test_copies_keep_hash_and_equality(self, cls, value, clone):
+        address = cls(value)
+        copied = clone(address)
+        assert copied == address
+        assert hash(copied) == hash(address)
+        assert {address: "hit"}[copied] == "hit"
+
+    @pytest.mark.parametrize("cls,value", ADDRESS_VALUES)
+    def test_unpickled_in_another_process_hashes_like_a_fresh_address(
+            self, cls, value):
+        # String hashes are salted per process, so a pickled hash cache
+        # would be stale under any other PYTHONHASHSEED.
+        blob = pickle.dumps(cls(value))
+        script = (
+            "import pickle, sys\n"
+            "from repro.netsim import address\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            f"fresh = address.{cls.__name__}({value})\n"
+            "assert hash(loaded) == hash(fresh), (hash(loaded), hash(fresh))\n"
+            "assert {fresh: 'hit'}[loaded] == 'hit'\n"
+            "print(hash(fresh))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        hashes = set()
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            result = subprocess.run(
+                [sys.executable, "-c", script], input=blob, env=env,
+                capture_output=True, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            hashes.add(result.stdout)
+        assert len(hashes) == 2  # the seeds really salted the hash

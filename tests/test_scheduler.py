@@ -1,14 +1,18 @@
-"""Event-queue semantics: freelist, tombstones, custom schedulers.
+"""Event-queue semantics: entries, tombstones, custom schedulers.
 
-The load-bearing property is at the bottom: a wrapped scheduler, which
-takes the simulator's generic run loop, dispatches the identical event
-sequence to the inlined heap loop.
+The load-bearing property is at the bottom: random mixes of every
+scheduling call and cancellation fire in (time, scheduling order) on
+the inlined heap loop, and the generic loop behind a wrapped heap
+fires the identical sequence.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.netsim import simulator as simulator_module
 from repro.netsim.scheduler import HeapScheduler
 from repro.netsim.simulator import SimulationError, Simulator
 from repro.serialization import config_from_dict
@@ -39,18 +43,28 @@ class TestSimulatorScheduling:
         with pytest.raises(SimulationError):
             Simulator().schedule_bare(-0.1, lambda: None)
 
-    def test_schedule_bare_recycles_event_objects(self):
+    def test_schedule_bare_entry_carries_no_handle(self):
         sim = Simulator()
+        assert sim.schedule_bare(1.0, print, "bare") is None
+        handle = sim.schedule(1.0, print, "handled")
+        entries = sorted(sim.fingerprint_events())
+        assert entries == [
+            (1.0, 1, print, ("bare",), None),
+            (1.0, 2, print, ("handled",), handle),
+        ]
 
-        def chain(remaining):
-            if remaining:
-                sim.schedule_bare(0.1, chain, remaining - 1)
-
-        chain(100)
+    def test_peek_next_time_skips_cancelled_head(self):
+        sim = Simulator()
+        head = sim.schedule(1.0, lambda: None)
+        sim.schedule_bare(2.0, lambda: None)
+        head.cancel()
+        assert sim.queued_entries == 2
+        assert sim.peek_next_time() == 2.0
+        assert sim.queued_entries == 1  # the tombstone head is gone
+        assert sim.pending_events == 1
         sim.run()
-        # Strictly sequential wakeups reuse a single freelist event.
-        assert sim.events_executed == 100
-        assert len(sim._free) == 1
+        assert sim.events_executed == 1
+        assert sim.peek_next_time() is None
 
     def test_pending_events_excludes_cancelled(self):
         sim = Simulator()
@@ -80,7 +94,10 @@ class TestSimulatorScheduling:
 
     def test_tombstone_compaction_shrinks_queue(self):
         sim = Simulator()
-        handles = [sim.schedule(1.0 + i * 1e-3, lambda: None) for i in range(200)]
+        times = [1.0 + i * 1e-3 for i in range(200)]
+        random.Random(7).shuffle(times)  # a heap that is not a sorted list
+        fired = []
+        handles = [sim.schedule_at(when, fired.append, when) for when in times]
         for handle in handles[:150]:
             handle.cancel()
         # Compaction fires once cancellations outnumber live events, so
@@ -89,33 +106,104 @@ class TestSimulatorScheduling:
         assert sim.queued_entries < 100
         sim.run()
         assert sim.events_executed == 50
+        assert fired == sorted(times[150:])  # the rebuilt heap still orders
 
 
-def test_schedulers_dispatch_identically():
-    """Same churn-heavy workload, identical firing sequence on the
-    inlined heap loop and the generic loop behind a wrapped heap."""
+OFFSETS = (0.0, 0.25, 0.5, 1.0)  # few distinct times: ties are common
+SCHEDULE_CALLS = ("schedule", "schedule_at", "schedule_now", "schedule_bare",
+                  "schedule_bare_at")
 
-    def workload(sim):
-        rng = random.Random(1234)
-        order = []
-        handles = []
+# (call, offset, cancel target); cancels are half the mix so that
+# tombstones pile up and compaction runs mid-run
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(SCHEDULE_CALLS), st.sampled_from(OFFSETS),
+                  st.just(0)),
+        st.tuples(st.just("cancel"), st.just(0.0),
+                  st.integers(min_value=0, max_value=63)),
+    ),
+    min_size=1,
+    max_size=80,
+)
 
-        def callback(tag):
-            order.append((sim.now, tag))
-            if tag % 3 == 0 and sim.now < 4.0:
-                handles.append(sim.schedule(rng.random(), callback, tag + 1000))
-            if tag % 5 == 0 and handles:
-                handles.pop(rng.randrange(len(handles))).cancel()
-            if tag % 2 == 0 and sim.now < 4.0:
-                sim.schedule_bare(rng.random() * 0.3, callback, tag + 1)
 
-        for index in range(300):
-            sim.schedule(rng.random() * 2.0, callback, index)
-        sim.run(until=8.0)
-        return order
+def play(sim, program, initial, until):
+    """Run ``program`` against ``sim``: its first ``initial`` operations
+    before the run, then one more as each event fires.
 
-    baseline = workload(Simulator())
-    wrapped = Simulator(scheduler=TieBreakAuditor(HeapScheduler()))
-    assert wrapped._heap is None  # takes the generic loop
-    assert workload(wrapped) == baseline
-    assert len(baseline) > 300
+    Returns the fired ``(now, tag)`` sequence, the expected one (every
+    event that was live when its time came, sorted by time, then by
+    scheduling order) and how many live events are left unfired.
+    """
+    fired = []
+    scheduled = []  # (time, tag) in scheduling order; tag = the position
+    handles = []    # (handle, tag) of the cancellable events
+    cancelled = set()
+    fired_tags = set()
+    ops = iter(program)
+
+    def step():
+        op = next(ops, None)
+        if op is None:
+            return
+        call, offset, target = op
+        if call == "cancel":
+            if handles:
+                handle, tag = handles[target % len(handles)]
+                handle.cancel()
+                if tag not in fired_tags:
+                    cancelled.add(tag)
+            return
+        tag = len(scheduled)
+        when = sim.now if call == "schedule_now" else sim.now + offset
+        scheduled.append((when, tag))
+        if call == "schedule":
+            handles.append((sim.schedule(offset, fire, tag), tag))
+        elif call == "schedule_at":
+            handles.append((sim.schedule_at(when, fire, tag), tag))
+        elif call == "schedule_now":
+            handles.append((sim.schedule_now(fire, tag), tag))
+        elif call == "schedule_bare":
+            assert sim.schedule_bare(offset, fire, tag) is None
+        else:
+            assert sim.schedule_bare_at(when, fire, tag) is None
+
+    def fire(tag):
+        fired.append((sim.now, tag))
+        fired_tags.add(tag)
+        step()
+
+    for _ in range(initial):
+        step()
+    sim.run(until=until)
+    live = [(when, tag) for when, tag in scheduled if tag not in cancelled]
+    expected = sorted(
+        (when, tag) for when, tag in live if until is None or when <= until
+    )
+    return fired, expected, len(live) - len(fired)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    program=operations,
+    initial=st.integers(min_value=1, max_value=20),
+    until=st.sampled_from([None, 0.5, 1.5]),
+)
+def test_schedulers_dispatch_identically(program, initial, until):
+    """Random mixes of every scheduling call and cancellation fire in
+    (time, scheduling order) on the inlined heap loop, and the generic
+    loop behind a wrapped heap fires the identical sequence."""
+    # A low compaction threshold makes cancellations rebuild the heap
+    # mid-run, under the inlined loop's alias of it.
+    with mock.patch.object(simulator_module, "COMPACT_MIN_TOMBSTONES", 2):
+        inlined = Simulator()
+        wrapped = Simulator(scheduler=TieBreakAuditor(HeapScheduler()))
+        assert inlined._heap is not None
+        assert wrapped._heap is None  # takes the generic loop
+        fired, expected, unfired = play(inlined, program, initial, until)
+        wrapped_fired, _, _ = play(wrapped, program, initial, until)
+    assert fired == expected
+    assert wrapped_fired == fired
+    assert inlined.events_executed == wrapped.events_executed == len(fired)
+    assert inlined.pending_events == wrapped.pending_events == unfired
+    assert inlined.queued_entries == wrapped.queued_entries

@@ -49,6 +49,15 @@ class TestDispatch:
         sim.run()
         assert node_b.udp.rx_unreachable == 1
 
+    def test_unbound_port_counts_every_train_member(self, sim, two_hosts):
+        # A --train K flood into a stopped sink is K datagrams unreachable.
+        node_a, node_b, star = two_hosts
+        node_a.udp.send_train(star.address_of(node_b), 9999, count=8,
+                              src_port=1, payload_size=64)
+        sim.run()
+        assert node_b.udp.rx_datagrams == 8
+        assert node_b.udp.rx_unreachable == 8
+
     def test_default_handler_catches_everything(self, sim, two_hosts):
         node_a, node_b, star = two_hosts
         inbox = []
