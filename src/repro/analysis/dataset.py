@@ -7,24 +7,28 @@ generating large traffic datasets" (§V-A1 of the paper).
 
 :func:`generate_detection_dataset` does exactly that: it runs a DDoSim
 scenario with extra benign clients streaming OnOff traffic at TServer,
-captures every packet TServer receives, and slices the capture into
-labelled feature windows ready for
+captures every packet TServer's sink receives
+(:func:`capture_tserver_traffic`), and slices the capture into labelled
+feature windows ready for
 :class:`repro.analysis.detection.LogisticRegressionClassifier`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.features import windows_from_capture
+from repro.analysis.features import (
+    CapturedPacket,
+    datagram_record,
+    windows_from_capture,
+)
 from repro.core.config import SimulationConfig
 from repro.core.framework import DDoSim
 from repro.netsim.application import OnOffApplication
 from repro.netsim.node import Node
-from repro.netsim.tracing import PacketCapture
 
 
 @dataclass
@@ -40,6 +44,43 @@ class DetectionDataset:
     @property
     def attack_fraction(self) -> float:
         return float(self.y.mean()) if len(self.y) else 0.0
+
+
+def capture_tserver_traffic(ddosim: DDoSim) -> List[CapturedPacket]:
+    """One :class:`CapturedPacket` row per datagram TServer's sink
+    receives; the returned list fills in as ``ddosim.run()`` runs.
+
+    The capture wraps TServer's UDP default handler, the hook the §V-A1
+    defenses use, at t=0: ``run()`` starts the sink before its first
+    event.  It refuses the configs whose flood never reaches that
+    handler packet by packet.
+    """
+    config = ddosim.config
+    if config.flood_flow == "all":
+        raise ValueError(
+            "flood_flow='all' credits TServer's sink analytically: no attack "
+            "packet reaches the capture"
+        )
+    if config.flood_train > 1:
+        raise ValueError(
+            f"flood_train={config.flood_train} delivers packet trains: each "
+            "capture row would be a whole train, not one packet"
+        )
+    sim = ddosim.sim
+    udp = ddosim.tserver.node.udp
+    records: List[CapturedPacket] = []
+
+    def install() -> None:
+        sink_handler = udp.default_handler
+
+        def record(packet, udp_header, ip_header) -> None:
+            records.append(datagram_record(sim.now, packet, udp_header, ip_header))
+            sink_handler(packet, udp_header, ip_header)
+
+        udp.set_default_handler(record)
+
+    sim.schedule(0.0, install)
+    return records
 
 
 def generate_detection_dataset(
@@ -59,7 +100,6 @@ def generate_detection_dataset(
             sim_duration=250.0,
         )
     ddosim = DDoSim(config)
-    capture = PacketCapture(ddosim.tserver.node)
 
     # Benign clients: web-ish OnOff streams at TServer port 80.
     rng_seedable = range(n_benign_clients)
@@ -77,12 +117,12 @@ def generate_detection_dataset(
         )
         app.schedule_start(0.5 + 0.3 * index)
 
+    records = capture_tserver_traffic(ddosim)
     result = ddosim.run()
-    capture.close()  # stop tapping: sweeps create many captures per process
     attack_start = result.attack.issued_at
     attack_end = attack_start + result.attack.duration
     X, y = windows_from_capture(
-        capture.records,
+        records,
         start=0.0,
         end=ddosim.sim.now,
         window=window,

@@ -13,22 +13,39 @@ exploits".  Two defenses are provided, matching its insights:
   :class:`repro.analysis.detection.LogisticRegressionClassifier` in front
   of the sink: traffic windows flagged as attack are dropped.  This is
   the full detect-then-mitigate loop of ML-based DDoS defenses.
+
+Both wrap the node's UDP default handler (the sink), so they see every
+datagram the sink would: a packet train is counted member by member and
+accepted or dropped whole.  A fully fluid flood (``flood_flow="all"``)
+is credited to the sink analytically and never reaches that handler, so
+installing either defense under it raises.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
+import numpy as np
+
+from repro.analysis.features import datagram_record, window_features
 from repro.netsim.headers import UdpHeader
 from repro.netsim.node import Node
+
+
+def _refuse_fluid_flood(node: Node) -> None:
+    flows = node.sim.flows
+    if flows is not None and flows.mode == "all":
+        raise ValueError(
+            "flood_flow='all' credits the sink analytically: the flood "
+            "bypasses a defense on the UDP handler"
+        )
 
 
 class PerSourcePolicer:
     """Token-bucket policing per source address on a node's delivery path.
 
-    Sits *before* other delivery taps and the transport demux by wrapping
-    the node's UDP default handler installation: packets from sources
-    exceeding their budget are counted and dropped.
+    Sits before the sink by wrapping the node's UDP default handler:
+    packets from sources exceeding their budget are counted and dropped.
     """
 
     def __init__(
@@ -56,6 +73,7 @@ class PerSourcePolicer:
         """Interpose on the node's promiscuous UDP handler (the sink)."""
         if self._installed:
             return
+        _refuse_fluid_flood(self.node)
         self._inner_handler = self.node.udp.default_handler
         self.node.udp.set_default_handler(self._filter)
         self._installed = True
@@ -85,15 +103,17 @@ class PerSourcePolicer:
         return False
 
     def _filter(self, packet, udp_header: UdpHeader, ip_header) -> None:
+        count = packet.count
         size = packet.payload_size + udp_header.wire_size + type(ip_header).wire_size
-        if self._allow(ip_header.src, size):
-            self.accepted_packets += 1
-            self.accepted_bytes += size
+        nbytes = size * count
+        if self._allow(ip_header.src, nbytes):
+            self.accepted_packets += count
+            self.accepted_bytes += nbytes
             if self._inner_handler is not None:
                 self._inner_handler(packet, udp_header, ip_header)
         else:
-            self.dropped_packets += 1
-            self.dropped_bytes += size
+            self.dropped_packets += count
+            self.dropped_bytes += nbytes
 
     @property
     def drop_ratio(self) -> float:
@@ -112,15 +132,10 @@ class ClassifierFirewall:
     """
 
     def __init__(self, node: Node, classifier, window: float = 1.0):
-        from repro.analysis.features import window_features
-        from repro.netsim.tracing import CapturedPacket
-
         self.node = node
         self.sim = node.sim
         self.classifier = classifier
         self.window = window
-        self._window_features = window_features
-        self._record_type = CapturedPacket
         self._current_window: list = []
         self.blocking = False
         self.windows_blocked = 0
@@ -131,35 +146,27 @@ class ClassifierFirewall:
     def install(self) -> None:
         if self._installed:
             return
+        _refuse_fluid_flood(self.node)
         self._inner_handler = self.node.udp.default_handler
         self.node.udp.set_default_handler(self._filter)
         self.sim.schedule(self.window, self._rotate)
         self._installed = True
 
     def _filter(self, packet, udp_header, ip_header) -> None:
-        record = self._record_type(
-            time=self.sim.now,
-            src=ip_header.src,
-            dst=ip_header.dst,
-            protocol=ip_header.protocol,
-            src_port=udp_header.src_port,
-            dst_port=udp_header.dst_port,
-            size=packet.payload_size + udp_header.wire_size + type(ip_header).wire_size,
+        self._current_window.append(
+            datagram_record(self.sim.now, packet, udp_header, ip_header)
         )
-        self._current_window.append(record)
         if self.blocking:
-            self.packets_dropped += 1
+            self.packets_dropped += packet.count
             return
         if self._inner_handler is not None:
             self._inner_handler(packet, udp_header, ip_header)
 
     def _rotate(self) -> None:
-        import numpy as np
-
         records, self._current_window = self._current_window, []
         if records:
             features = np.array(
-                [self._window_features(records, self.window)], dtype=float
+                [window_features(records, self.window)], dtype=float
             )
             self.blocking = bool(self.classifier.predict(features)[0])
         else:

@@ -3,21 +3,22 @@
 "Most ML-based DDoS detection or mitigation approaches rely on extracting
 features from incoming network traffic (e.g., IP address, traffic rate)
 and feeding them into an ML model" (§V-A1).  These are the classic
-flow-window features: per time window over a TServer-side
-:class:`repro.netsim.tracing.PacketCapture` we compute rates, packet-size
-statistics, source dispersion and protocol mix.
+flow-window features: per time window over a TServer-side capture —
+:class:`CapturedPacket` rows, one per datagram TServer's sink receives
+(:func:`datagram_record`) — we compute rates, packet-size statistics,
+source dispersion and protocol mix.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.netsim.headers import PROTO_TCP, PROTO_UDP
-from repro.netsim.tracing import CapturedPacket
 
 FEATURE_NAMES = (
     "packet_rate",          # packets / second
@@ -31,6 +32,37 @@ FEATURE_NAMES = (
     "distinct_dst_ports",
     "top_source_share",     # traffic share of the busiest source
 )
+
+
+@dataclass
+class CapturedPacket:
+    """One packet-capture record (metadata only, like a pcap header)."""
+
+    time: float
+    src: object
+    dst: object
+    protocol: int
+    src_port: int
+    dst_port: int
+    size: int
+
+
+def datagram_record(now: float, packet, udp_header, ip_header) -> CapturedPacket:
+    """The capture row of one datagram reaching a UDP handler at ``now``.
+
+    ``size`` is the wire size the node saw: payload plus the UDP and IP
+    headers, which were popped on the way up.  A packet train is one
+    row, so callers that need one row per packet must refuse trains.
+    """
+    return CapturedPacket(
+        time=now,
+        src=ip_header.src,
+        dst=ip_header.dst,
+        protocol=ip_header.protocol,
+        src_port=udp_header.src_port,
+        dst_port=udp_header.dst_port,
+        size=packet.payload_size + udp_header.wire_size + type(ip_header).wire_size,
+    )
 
 
 def _entropy(counts: Sequence[int]) -> float:

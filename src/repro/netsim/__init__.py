@@ -5,7 +5,8 @@ NS3DockerEmulator's TapBridge/ghost-node trick to splice Docker containers
 into that network.  This package provides the equivalent substrate in pure
 Python:
 
-* :mod:`repro.netsim.simulator` — the event loop and virtual clock.
+* :mod:`repro.netsim.simulator` — the event heap, its run loops and the
+  virtual clock.
 * :mod:`repro.netsim.process` — simpy-style coroutine processes so that
   "binaries" (shells, daemons, bots) can be written as straight-line code.
 * :mod:`repro.netsim.address` — MAC / IPv4 / IPv6 addresses, multicast.
@@ -18,9 +19,12 @@ Python:
   dual-stack (IPv4/IPv6) network layer, static routing, multicast groups.
 * :mod:`repro.netsim.udp`, :mod:`repro.netsim.tcp`,
   :mod:`repro.netsim.sockets` — transports and a BSD-ish socket facade.
+* :mod:`repro.netsim.topology`, :mod:`repro.netsim.tiered` — the star
+  "simulated Internet" and its tiered (home router, ISP, core) variant.
 * :mod:`repro.netsim.application`, :mod:`repro.netsim.sink` — NS-3-style
-  applications; ``PacketSink`` is the paper's customized TServer sink.
-* :mod:`repro.netsim.tracing` — flow statistics (the Wireshark analogue).
+  applications; ``PacketSink`` is the paper's customized TServer sink,
+  and its per-flow records are the Wireshark analogue.
+* :mod:`repro.netsim.flows` — the fluid-flow flood datapath.
 """
 
 from repro.netsim.address import Ipv4Address, Ipv6Address, MacAddress
@@ -41,14 +45,12 @@ from repro.netsim.queues import DropTailQueue
 from repro.netsim.simulator import Simulator
 from repro.netsim.sink import PacketSink
 from repro.netsim.topology import StarInternet
-from repro.netsim.tracing import FlowMonitor
 
 __all__ = [
     "Application",
     "Channel",
     "DropTailQueue",
     "EthernetHeader",
-    "FlowMonitor",
     "Ipv4Address",
     "Ipv4Header",
     "Ipv6Address",

@@ -10,7 +10,7 @@ administratively scoped multicast fan-out on routers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.netsim.address import Address, Ipv4Address, Ipv6Address
 from repro.netsim.headers import (
@@ -47,8 +47,6 @@ class IpStack:
         self.multicast_routes: Dict[Ipv6Address, List[NetDevice]] = {}
         self._udp = None
         self._tcp = None
-        # Hosts may register extra taps (e.g. FlowMonitor) on delivery.
-        self.delivery_taps: List[Callable[[Packet, Header], None]] = []
         # Counters.
         self.delivered = 0
         self.forwarded = 0
@@ -225,8 +223,6 @@ class IpStack:
 
     def _deliver(self, packet: Packet, header) -> None:
         self.delivered += packet.count
-        for tap in self.delivery_taps:
-            tap(packet, header)
         packet.remove_header(type(header))
         protocol = header.protocol
         if protocol == PROTO_UDP:

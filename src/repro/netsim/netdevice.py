@@ -42,7 +42,7 @@ class NetDevice:
         self.up = True  # combined flag: _oper_up and admin_up
         self._oper_up = True
         self.admin_up = True
-        # Counters (FlowMonitor and the resource model read these).
+        # Counters (the end-state network fingerprint reads these).
         self.tx_packets = 0
         self.tx_bytes = 0
         self.rx_packets = 0

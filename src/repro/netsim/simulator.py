@@ -1,35 +1,39 @@
-"""Discrete-event simulation core: virtual clock and event scheduler.
+"""Discrete-event simulation core: virtual clock and event heap.
 
 This is the heart of the NS-3 substitute.  NS-3 runs a single-threaded
 event loop over a priority queue of (time, uid) ordered events; we do the
-same over a binary heap (:mod:`repro.netsim.scheduler`).  Everything else
+same over one binary heap that :class:`Simulator` owns.  Everything else
 in ``repro`` — links, transports, containers, binaries, the botnet —
 schedules callbacks here.
 
 The scheduler is deliberately minimal and fast: DDoS-flood experiments
 push millions of events through it, so the hot path is kept lean:
 
-* The queue holds ``(time, seq, callback, args, handle)`` entries, so
-  ``heapq`` orders events by comparing tuples in C; the scheduler
-  protocol takes and returns these entries.
+* The heap holds ``(time, seq, callback, args, handle)`` entries, so
+  ``heapq`` orders events by comparing tuples in C: ``seq`` is unique,
+  so a comparison never reaches the callback, and equal-time events
+  fire in FIFO scheduling order.  The schedule calls push straight onto
+  it.
 * :meth:`Simulator.schedule_bare` is a fire-and-forget variant of
   :meth:`Simulator.schedule` that returns no handle: its entry carries
   ``handle=None`` and allocates no event object — the datapath (device
   serialization, channel propagation) uses it, because nobody ever
   cancels those events.
 * Cancelled events are tombstones; the simulator keeps an exact live
-  count (``pending_events``) and compacts the queue when tombstones
+  count (``pending_events``) and compacts the heap when tombstones
   outnumber live events, so retransmit/churn cancellation storms cannot
-  bloat the queue.
+  bloat it.
+* Two run loops pop the heap: the uninstrumented fast loop every run
+  takes by default, and the instrumented loop an ``Observatory.full()``
+  switches to (per-site wall timing, ``sched.fire`` trace events).
 """
 
 from __future__ import annotations
 
 import time
-from heapq import heappop
-from typing import Any, Callable, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional
 
-from repro.netsim.scheduler import HeapScheduler
 from repro.obs.observatory import NULL_OBSERVATORY
 from repro.obs.profiler import site_of
 
@@ -85,18 +89,14 @@ class Simulator:
 
     Events scheduled for the same instant fire in FIFO scheduling order
     (ties broken by a monotonically increasing sequence number), matching
-    NS-3 semantics and making runs fully deterministic.  ``scheduler``
-    replaces the default :class:`HeapScheduler` with any object speaking
-    its protocol (e.g. a :class:`repro.simlint.runtime.TieBreakAuditor`);
-    the run then takes the generic loop instead of the inlined heap one.
+    NS-3 semantics and making runs fully deterministic.
     """
 
-    def __init__(self, scheduler: Optional[object] = None) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        self._sched = HeapScheduler() if scheduler is None else scheduler
-        # The default heap's hot loop is inlined over its backing list.
-        self._heap = self._sched._heap if isinstance(self._sched, HeapScheduler) else None
+        #: the event queue: a heapq of (time, seq, callback, args, handle)
+        self._heap: List[tuple] = []
         self._running = False
         self._stopped = False
         self._live = 0        # scheduled, not yet fired or cancelled
@@ -129,11 +129,6 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def scheduler_name(self) -> str:
-        """Name of the active scheduler (``"heap"`` by default)."""
-        return getattr(self._sched, "name", type(self._sched).__name__)
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -152,7 +147,7 @@ class Simulator:
         self._seq += 1
         event = ScheduledEvent(self)
         self._live += 1
-        self._sched.push((time, self._seq, callback, args, event))
+        heappush(self._heap, (time, self._seq, callback, args, event))
         return event
 
     def schedule_now(self, callback: Callable, *args: Any) -> ScheduledEvent:
@@ -172,7 +167,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
         self._live += 1
-        self._sched.push((self._now + delay, self._seq, callback, args, None))
+        heappush(self._heap, (self._now + delay, self._seq, callback, args, None))
 
     def schedule_bare_at(self, time: float, callback: Callable, *args: Any) -> None:
         """:meth:`schedule_bare` at an absolute virtual ``time``.
@@ -187,16 +182,23 @@ class Simulator:
             )
         self._seq += 1
         self._live += 1
-        self._sched.push((time, self._seq, callback, args, None))
+        heappush(self._heap, (time, self._seq, callback, args, None))
 
     def _note_cancel(self) -> None:
-        """Live/tombstone bookkeeping for one cancellation; compacts the
-        queue when tombstones dominate (in place, so the run loop's alias
-        of the heap stays valid)."""
+        """Live/tombstone bookkeeping for one cancellation.  When
+        tombstones dominate, drops them all, rebuilding the heap in place
+        so a running loop's alias of it stays valid."""
         self._live -= 1
         self._tombstones += 1
         if self._tombstones > COMPACT_MIN_TOMBSTONES and self._tombstones > self._live:
-            self._tombstones -= self._sched.remove_cancelled()
+            heap = self._heap
+            before = len(heap)
+            heap[:] = [
+                entry for entry in heap
+                if entry[4] is None or not entry[4].cancelled
+            ]
+            heapify(heap)
+            self._tombstones -= before - len(heap)
 
     # ------------------------------------------------------------------
     # Execution
@@ -216,10 +218,8 @@ class Simulator:
         try:
             if self.obs.instrumented:
                 self._run_instrumented(until)
-            elif self._heap is not None:
-                self._run_heap(until)
             else:
-                self._run_generic(until)
+                self._run_heap(until)
         except Exception:
             # An exception escaping the event loop (a failed assertion, a
             # crashing callback) force-dumps the flight recorder so the
@@ -236,7 +236,7 @@ class Simulator:
         return self._now
 
     def _run_heap(self, until: Optional[float]) -> None:
-        """The inlined hot loop for the default binary-heap scheduler."""
+        """The uninstrumented hot loop every run takes by default."""
         heap = self._heap
         limit = float("inf") if until is None else until
         while heap and not self._stopped:
@@ -253,29 +253,12 @@ class Simulator:
             self.events_executed += 1
             callback(*args)
 
-    def _run_generic(self, until: Optional[float]) -> None:
-        """Scheduler-agnostic loop (wrapped or custom schedulers)."""
-        sched = self._sched
-        while not self._stopped:
-            entry = sched.pop_next(until)
-            if entry is None:
-                break
-            when, _, callback, args, handle = entry
-            if handle is not None:
-                if handle.cancelled:
-                    self._tombstones -= 1
-                    continue
-                handle._sim = None
-            self._now = when
-            self._live -= 1
-            self.events_executed += 1
-            callback(*args)
-
     def _run_instrumented(self, until: Optional[float]) -> None:
         """The observed run loop: per-site wall timing, queue high-water,
         and ``sched.fire`` trace events.  Split from :meth:`run` so the
         default loop stays the uninstrumented hot path."""
-        sched = self._sched
+        heap = self._heap
+        limit = float("inf") if until is None else until
         profiler = self.obs.profiler
         tracer = self.obs.tracer
         trace_on = tracer.enabled
@@ -284,13 +267,12 @@ class Simulator:
         perf = time.perf_counter  # simlint: disable=SIM101
         if profiler is not None:
             profiler.start_run()
-        while not self._stopped:
-            if profiler is not None and len(sched) > profiler.heap_high_water:
-                profiler.heap_high_water = len(sched)
-            entry = sched.pop_next(until)
-            if entry is None:
+        while heap and not self._stopped:
+            if profiler is not None and len(heap) > profiler.heap_high_water:
+                profiler.heap_high_water = len(heap)
+            if heap[0][0] > limit:
                 break
-            when, _, callback, args, handle = entry
+            when, _, callback, args, handle = heappop(heap)
             if handle is not None:
                 if handle.cancelled:
                     self._tombstones -= 1
@@ -314,9 +296,11 @@ class Simulator:
 
     def peek_next_time(self) -> Optional[float]:
         """Virtual time of the next pending (non-cancelled) event, if any."""
-        self._tombstones -= self._sched.drop_cancelled_head()
-        entry = self._sched.peek()
-        return entry[0] if entry is not None else None
+        heap = self._heap
+        while heap and heap[0][4] is not None and heap[0][4].cancelled:
+            heappop(heap)
+            self._tombstones -= 1
+        return heap[0][0] if heap else None
 
     @property
     def pending_events(self) -> int:
@@ -326,19 +310,18 @@ class Simulator:
 
     @property
     def queued_entries(self) -> int:
-        """Raw queue length including cancelled tombstones (what the
-        queue physically holds; profiler high-water tracks this)."""
-        return len(self._sched)
+        """Raw heap length including cancelled tombstones (what the
+        heap physically holds; profiler high-water tracks this)."""
+        return len(self._heap)
 
     def fingerprint_events(self):
         """Every queued ``(time, seq, callback, args, handle)`` entry —
-        tombstones included — for end-state fingerprints; iteration
-        order is scheduler-internal, callers must sort by the
-        (time, seq) key."""
-        return self._sched.events()
+        tombstones included — for end-state fingerprints, in heap order
+        (callers sort by the (time, seq) key)."""
+        return iter(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"<Simulator t={self._now:.6f} pending={self._live} "
-            f"tombstones={self._tombstones} sched={self.scheduler_name}>"
+            f"tombstones={self._tombstones}>"
         )

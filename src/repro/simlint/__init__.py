@@ -8,10 +8,10 @@ closures capturing loop variables, unused imports).  ``repro lint
 --fix`` applies the mechanical rewrites (:mod:`repro.simlint.fix`);
 ``--diff`` and ``--baseline`` keep the gate incremental.
 
-Dynamic half — runtime sanitizers (scheduler tie-break audit and named
-RNG-stream accounting) and a double-run harness that executes a config
-twice and across ``--jobs`` and localizes the first diverging
-``repro.obs`` trace event or per-subsystem end-state fingerprint.
+Dynamic half — a double-run harness that executes a config twice and
+across ``--jobs`` and localizes the first diverging ``repro.obs`` trace
+event or per-subsystem end-state fingerprint.  A schedule reordering
+that changes an output fails it, as it fails the golden-output gate.
 
 CLI: ``repro lint`` and ``repro verify-determinism`` (both CI gates).
 """
@@ -41,11 +41,6 @@ from repro.simlint.rules import (
     all_codes,
     filter_codes,
     parse_suppressions,
-)
-from repro.simlint.runtime import (
-    RngStreamGuard,
-    TieBreakAuditor,
-    audit_run,
 )
 from repro.simlint.verify import (
     CheckResult,
@@ -83,9 +78,6 @@ __all__ = [
     "to_json_document",
     "violations_from_json",
     "write_baseline",
-    "RngStreamGuard",
-    "TieBreakAuditor",
-    "audit_run",
     "CheckResult",
     "DeterminismReport",
     "Divergence",

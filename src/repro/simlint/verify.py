@@ -189,17 +189,15 @@ def _scheduler_entries(sim) -> List[list]:
     """The pending event queue as ``[time, seq, cancelled, site, args]``
     rows in total (time, seq) order — tombstones included, because a
     cancelled-but-not-compacted entry still shifts heap internals."""
-    from repro.netsim.scheduler import is_cancelled
     from repro.obs.profiler import site_of
 
     entries = []
-    for entry in sim.fingerprint_events():
-        time, seq, callback, args, _ = entry
+    for time, seq, callback, args, handle in sim.fingerprint_events():
         entries.append(
             [
                 time,
                 seq,
-                int(is_cancelled(entry)),
+                int(handle is not None and handle.cancelled),
                 site_of(callback),
                 [_describe(arg) for arg in args],
             ]

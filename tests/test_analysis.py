@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.analysis.dataset import capture_tserver_traffic, generate_detection_dataset
 from repro.analysis.detection import (
     DetectionMetrics,
     LogisticRegressionClassifier,
     train_test_split,
 )
 from repro.analysis.epidemic import fit_si_model, si_curve, sir_curve
-from repro.analysis.features import FEATURE_NAMES, window_features, windows_from_capture
-from repro.netsim.tracing import CapturedPacket
+from repro.analysis.features import (
+    FEATURE_NAMES,
+    CapturedPacket,
+    window_features,
+    windows_from_capture,
+)
+from repro.core import DDoSim, SimulationConfig
+from repro.netsim.application import OnOffApplication
+from repro.netsim.node import Node
 
 
 def synth_records(start, count, rate, size, sources, dst_port=7777, protocol=17):
@@ -73,6 +81,36 @@ class TestFeatures:
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             windows_from_capture([], 0.0, 1.0, 0.0, (0.0, 1.0))
+
+
+class TestTServerCapture:
+    def test_records_every_datagram_the_sink_counts(self):
+        ddosim = DDoSim(SimulationConfig(
+            n_devs=3, seed=2, attack_duration=5.0, sim_duration=120.0,
+        ))
+        client = Node(ddosim.sim, "benign")
+        ddosim.star.attach_host(client, 2e6, delay=0.015)
+        OnOffApplication(
+            client, ddosim.tserver.address, 80, rate_bps=64_000,
+            packet_size=300, on_seconds=4.0, off_seconds=2.0,
+        ).schedule_start(0.5)
+        records = capture_tserver_traffic(ddosim)
+        ddosim.run()
+        sink = ddosim.tserver.sink
+        assert len(records) == sink.total_packets > 0
+        assert sum(record.size for record in records) == sink.total_bytes
+        assert {str(record.src) for record in records} == {
+            str(source) for source, _port in sink.per_source
+        }
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("flood_flow", {"flood_flow": "all"}),
+        ("flood_train", {"flood_train": 8}),
+    ])
+    def test_dataset_refuses_floods_the_capture_cannot_see(self, field, overrides):
+        config = SimulationConfig(n_devs=2, seed=2, **overrides)
+        with pytest.raises(ValueError, match=field):
+            generate_detection_dataset(config=config, n_benign_clients=1)
 
 
 class TestLogisticRegression:

@@ -1,10 +1,9 @@
-"""Unit tests for applications: OnOff traffic, the TServer sink, tracing."""
+"""Unit tests for applications: OnOff traffic and the TServer sink."""
 
 import pytest
 
 from repro.netsim.application import OnOffApplication
 from repro.netsim.sink import PacketSink
-from repro.netsim.tracing import FlowMonitor, PacketCapture
 
 
 class TestOnOffApplication:
@@ -159,68 +158,3 @@ class TestPacketSink:
         _, node_b, _ = two_hosts
         with pytest.raises(ValueError):
             PacketSink(node_b, bin_width=0)
-
-
-class TestTracing:
-    def test_flow_monitor_groups_by_five_tuple(self, sim, two_hosts):
-        node_a, node_b, star = two_hosts
-        monitor = FlowMonitor(node_b)
-        PacketSink(node_b).start()
-        for _ in range(3):
-            node_a.udp.send_datagram(
-                None, star.address_of(node_b), 7, src_port=100, payload_size=50
-            )
-        node_a.udp.send_datagram(
-            None, star.address_of(node_b), 8, src_port=100, payload_size=50
-        )
-        sim.run()
-        assert len(monitor.flows) == 2
-        assert monitor.total_packets() == 4
-
-    def test_flow_stats_rates(self, sim, two_hosts):
-        node_a, node_b, star = two_hosts
-        monitor = FlowMonitor(node_b)
-        PacketSink(node_b).start()
-        for delay in (0.0, 1.0):
-            sim.schedule(delay, node_a.udp.send_datagram,
-                         None, star.address_of(node_b), 7, 100, 1000)
-        sim.run()
-        stats = next(iter(monitor.flows.values()))
-        assert stats.packets == 2
-        assert stats.duration == pytest.approx(1.0)
-        assert stats.mean_rate_bps() > 0
-
-    def test_packet_capture_records_metadata(self, sim, two_hosts):
-        node_a, node_b, star = two_hosts
-        capture = PacketCapture(node_b)
-        PacketSink(node_b).start()
-        node_a.udp.send_datagram(
-            None, star.address_of(node_b), 7777, src_port=9, payload_size=64
-        )
-        sim.run()
-        assert len(capture.records) == 1
-        record = capture.records[0]
-        assert record.dst_port == 7777
-        assert record.src == star.address_of(node_a)
-
-    def test_packet_capture_truncates(self, sim, two_hosts):
-        node_a, node_b, star = two_hosts
-        capture = PacketCapture(node_b, max_records=5)
-        PacketSink(node_b).start()
-        for _ in range(10):
-            node_a.udp.send_datagram(
-                None, star.address_of(node_b), 7, src_port=9, payload_size=10
-            )
-        sim.run()
-        assert len(capture.records) == 5
-        assert capture.truncated
-
-    def test_capture_between(self, sim, two_hosts):
-        node_a, node_b, star = two_hosts
-        capture = PacketCapture(node_b)
-        PacketSink(node_b).start()
-        for delay in (0.5, 1.5, 2.5):
-            sim.schedule(delay, node_a.udp.send_datagram,
-                         None, star.address_of(node_b), 7, 9, 10)
-        sim.run()
-        assert len(capture.between(1.0, 3.0)) == 2

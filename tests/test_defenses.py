@@ -91,6 +91,86 @@ class TestPerSourcePolicerUnit:
             PerSourcePolicer(victim, rate_bps=0)
 
 
+class TestPacketTrains:
+    """A train of K members is K packets: counted member by member and
+    accepted or dropped whole, with the bucket charged K sizes."""
+
+    MEMBERS = 8
+    PAYLOAD = 500
+
+    def _victim(self, sim, star):
+        sender = Node(sim, "sender")
+        victim = Node(sim, "victim")
+        star.attach_host(sender, 10e6)
+        star.attach_host(victim, 10e6)
+        sink = PacketSink(victim)
+        sink.start()
+        return sender, victim, sink
+
+    def _send_train(self, sim, star, sender, victim, at=0.0):
+        sim.schedule(
+            at, sender.udp.send_train, star.address_of(victim), 7,
+            self.MEMBERS, 9, self.PAYLOAD,
+        )
+
+    def test_policer_counts_every_member(self, sim, star):
+        sender, victim, sink = self._victim(sim, star)
+        policer = PerSourcePolicer(victim, rate_bps=80_000, burst_bytes=32_000)
+        policer.install()
+        self._send_train(sim, star, sender, victim)
+        sim.run(until=1.0)
+        assert sink.total_packets == self.MEMBERS
+        assert policer.accepted_packets == self.MEMBERS
+        assert policer.accepted_bytes == sink.total_bytes
+
+    def test_policer_charges_and_drops_the_whole_train(self, sim, star):
+        sender, victim, sink = self._victim(sim, star)
+        # One member fits the burst; the whole train does not.
+        policer = PerSourcePolicer(victim, rate_bps=80_000, burst_bytes=1_000)
+        policer.install()
+        self._send_train(sim, star, sender, victim)
+        sim.run(until=1.0)
+        assert sink.total_packets == 0
+        assert policer.dropped_packets == self.MEMBERS
+        assert policer.dropped_bytes == self.MEMBERS * (
+            self.PAYLOAD + 8 + 40  # UDP + IPv6 headers
+        )
+
+    def test_firewall_counts_every_dropped_member(self, sim, star):
+        sender, victim, sink = self._victim(sim, star)
+
+        class AlwaysAttack:
+            def predict(self, X):
+                return np.array([1])
+
+        firewall = ClassifierFirewall(victim, AlwaysAttack(), window=1.0)
+        firewall.install()
+        self._send_train(sim, star, sender, victim, at=0.0)  # window 1 passes
+        self._send_train(sim, star, sender, victim, at=1.5)  # blocked
+        sim.run(until=3.0)
+        assert sink.total_packets == self.MEMBERS
+        assert firewall.packets_dropped == self.MEMBERS
+
+
+class TestFluidFloodIsRefused:
+    """Under ``flood_flow="all"`` the sink is credited analytically and
+    the flood never reaches a defense on the UDP handler."""
+
+    @pytest.mark.parametrize("make", [
+        lambda node: PerSourcePolicer(node),
+        lambda node: ClassifierFirewall(node, classifier=None),
+    ], ids=["policer", "firewall"])
+    def test_install_raises(self, make):
+        ddosim = DDoSim(SimulationConfig(n_devs=2, seed=1, flood_flow="all"))
+        defense = make(ddosim.tserver.node)
+        with pytest.raises(ValueError, match="flood_flow"):
+            defense.install()
+
+    def test_hybrid_flood_still_installs(self):
+        ddosim = DDoSim(SimulationConfig(n_devs=2, seed=1, flood_flow="auto"))
+        PerSourcePolicer(ddosim.tserver.node).install()
+
+
 class TestPolicerAgainstRealAttack:
     def test_policer_collapses_accepted_attack_volume(self):
         """Full-stack mitigation check: same botnet, with and without."""

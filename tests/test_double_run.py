@@ -3,6 +3,9 @@
 Two runs of one config must serialize to the same result JSON, the same
 metrics snapshot and the same fingerprint tree, across the packet path,
 both fluid-flow crossover modes, packet trains, fault plans and churn.
+A run under ``Observatory.full()`` — the instrumented loop that
+``--trace-out``, ``report`` and ``verify-determinism`` run — must give
+the result JSON of a default run.
 The double-run gate appends one fingerprint line per subsystem to the
 trace it compares, so a subsystem whose end state drifted is named even
 when every trace event agrees.
@@ -64,6 +67,25 @@ class TestRunTwiceByteIdentity:
     def test_two_runs_match(self, case):
         config = _HARD_CASES[case]
         assert _run_state(config) == _run_state(config)
+
+
+#: 4-Dev configs across the three datapath tiers
+_LOOP_CASES = {
+    "packet-dynamic-churn": dict(churn="dynamic", churn_interval=5.0),
+    "auto-train8-static-churn": dict(churn="static", flood_flow="auto",
+                                     flood_train=8),
+    "flow-all": dict(flood_flow="all"),
+}
+
+
+class TestInstrumentedLoop:
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+    def test_instrumented_run_matches_default_run(self, case):
+        config = SimulationConfig(n_devs=4, seed=3, attack_duration=10.0,
+                                  sim_duration=120.0, **_LOOP_CASES[case])
+        default = DDoSim(config).run()
+        instrumented = DDoSim(config, observatory=Observatory.full()).run()
+        assert result_to_json(instrumented) == result_to_json(default)
 
 
 class TestFingerprintDeterminism:

@@ -339,19 +339,3 @@ class TestEndToEnd:
         document = json.loads(path.read_text())
         instants = [e for e in document["traceEvents"] if e.get("ph") == "i"]
         assert len({e["name"] for e in instants}) >= 3
-
-
-class TestTapLifecycle:
-    def test_capture_and_monitor_detach(self, sim, star):
-        from repro.netsim.node import Node
-        from repro.netsim.tracing import FlowMonitor, PacketCapture
-
-        node = Node(sim, "n0")
-        star.attach_host(node, 1e6)
-        taps_before = len(node.ip.delivery_taps)
-        with PacketCapture(node) as capture, FlowMonitor(node) as monitor:
-            assert len(node.ip.delivery_taps) == taps_before + 2
-        assert len(node.ip.delivery_taps) == taps_before
-        capture.close()  # idempotent
-        monitor.close()
-        assert len(node.ip.delivery_taps) == taps_before

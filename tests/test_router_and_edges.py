@@ -121,21 +121,3 @@ class TestContainerEdgeCases:
         assert runtime.get_image("named:v2").tag == "v2"
         with pytest.raises(Exception):
             runtime.get_image("named")  # defaults to :latest, absent
-
-
-class TestCaptureExport:
-    def test_csv_export(self, sim, two_hosts):
-        from repro.netsim.tracing import PacketCapture
-
-        node_a, node_b, star = two_hosts
-        capture = PacketCapture(node_b)
-        PacketSink(node_b).start()
-        node_a.udp.send_datagram(
-            None, star.address_of(node_b), 7777, src_port=9, payload_size=64
-        )
-        sim.run()
-        csv = capture.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0].startswith("time,src,dst")
-        assert len(lines) == 2
-        assert ",7777," in lines[1]

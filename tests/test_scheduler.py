@@ -1,9 +1,9 @@
-"""Event-queue semantics: entries, tombstones, custom schedulers.
+"""Event-queue semantics: entries, tombstones, the two run loops.
 
 The load-bearing property is at the bottom: random mixes of every
 scheduling call and cancellation fire in (time, scheduling order) on
-the inlined heap loop, and the generic loop behind a wrapped heap
-fires the identical sequence.
+both run loops — the default fast loop and the instrumented loop an
+``Observatory.full()`` switches to.
 """
 
 import random
@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import simulator as simulator_module
-from repro.netsim.scheduler import HeapScheduler
 from repro.netsim.simulator import SimulationError, Simulator
+from repro.obs import Observatory
 from repro.serialization import config_from_dict
-from repro.simlint.runtime import TieBreakAuditor
 
 
 class TestSimulatorScheduling:
@@ -25,11 +24,6 @@ class TestSimulatorScheduling:
         # still names one fails loudly instead of being ignored
         with pytest.raises(ValueError, match="scheduler"):
             config_from_dict({"scheduler": "calendar"})
-
-    def test_scheduler_name_property(self):
-        assert Simulator().scheduler_name == "heap"
-        wrapped = Simulator(scheduler=TieBreakAuditor(HeapScheduler()))
-        assert wrapped.scheduler_name == "tiebreak-audit"
 
     def test_schedule_bare_fires_in_order(self):
         sim = Simulator()
@@ -191,19 +185,19 @@ def play(sim, program, initial, until):
 )
 def test_schedulers_dispatch_identically(program, initial, until):
     """Random mixes of every scheduling call and cancellation fire in
-    (time, scheduling order) on the inlined heap loop, and the generic
-    loop behind a wrapped heap fires the identical sequence."""
+    (time, scheduling order) on the fast loop and on the instrumented
+    loop, and both leave the same queue behind."""
     # A low compaction threshold makes cancellations rebuild the heap
-    # mid-run, under the inlined loop's alias of it.
+    # mid-run, under the running loop's alias of it.
     with mock.patch.object(simulator_module, "COMPACT_MIN_TOMBSTONES", 2):
-        inlined = Simulator()
-        wrapped = Simulator(scheduler=TieBreakAuditor(HeapScheduler()))
-        assert inlined._heap is not None
-        assert wrapped._heap is None  # takes the generic loop
-        fired, expected, unfired = play(inlined, program, initial, until)
-        wrapped_fired, _, _ = play(wrapped, program, initial, until)
+        fast = Simulator()
+        instrumented = Simulator()
+        instrumented.attach_observatory(Observatory.full())
+        assert instrumented.obs.instrumented and not fast.obs.instrumented
+        fired, expected, unfired = play(fast, program, initial, until)
+        instrumented_fired, _, _ = play(instrumented, program, initial, until)
     assert fired == expected
-    assert wrapped_fired == fired
-    assert inlined.events_executed == wrapped.events_executed == len(fired)
-    assert inlined.pending_events == wrapped.pending_events == unfired
-    assert inlined.queued_entries == wrapped.queued_entries
+    assert instrumented_fired == expected
+    assert fast.events_executed == instrumented.events_executed == len(fired)
+    assert fast.pending_events == instrumented.pending_events == unfired
+    assert fast.queued_entries == instrumented.queued_entries

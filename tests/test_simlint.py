@@ -1,4 +1,4 @@
-"""Tests for the determinism linter and runtime sanitizer (repro.simlint).
+"""Tests for the determinism linter and double-run harness (repro.simlint).
 
 Three layers:
 
@@ -6,9 +6,7 @@ Three layers:
   fire), a negative twin (must stay quiet), and a suppressed variant;
 * the machinery — suppression directives, select/ignore filtering, the
   JSON reporter round-trip, the clock allowlist;
-* the runtime sanitizer — TieBreakAuditor tie accounting, RngStreamGuard
-  stream/draw accounting, and the double-run harness localizing an
-  injected divergence.
+* the double-run harness localizing an injected divergence.
 
 The suite ends with the gate itself: the repo's own ``src/repro`` tree
 must lint clean with every rule enabled.
@@ -23,8 +21,6 @@ from repro.simlint import (
     CheckResult,
     Divergence,
     REGISTRY,
-    RngStreamGuard,
-    TieBreakAuditor,
     Violation,
     all_codes,
     apply_baseline,
@@ -42,7 +38,6 @@ from repro.simlint import (
     violations_from_json,
     write_baseline,
 )
-from repro.netsim.simulator import Simulator
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -341,103 +336,6 @@ class TestReporters:
 
     def test_text_report_clean(self):
         assert "clean" in format_text([])
-
-
-# ----------------------------------------------------------------------
-# Runtime sanitizer: tie-break auditor
-# ----------------------------------------------------------------------
-def _cb_a():
-    pass
-
-
-def _cb_b():
-    pass
-
-
-class TestTieBreakAuditor:
-    def test_counts_cross_site_ties(self):
-        sim = Simulator()
-        auditor = TieBreakAuditor.attach(sim)
-        assert sim._heap is None  # forces the generic (wrappable) loop
-        sim.schedule_at(1.0, _cb_a)
-        sim.schedule_at(1.0, _cb_b)   # cross-site tie at t=1.0
-        sim.schedule_at(2.0, _cb_a)
-        sim.schedule_at(2.0, _cb_a)   # same-site tie at t=2.0
-        sim.schedule_at(3.0, _cb_b)   # no tie
-        sim.run()
-        report = auditor.report()
-        assert report["pushes"] == 5
-        assert report["tied_timestamps"] == 2
-        assert report["cross_site_ties"] == 1
-        (sample,) = report["samples"]
-        assert sample["time"] == 1.0
-        assert len(sample["sites"]) == 2
-
-    def test_wrapped_run_still_executes_in_order(self):
-        sim = Simulator()
-        TieBreakAuditor.attach(sim)
-        fired = []
-        sim.schedule_at(2.0, fired.append, "late")
-        sim.schedule_at(1.0, fired.append, "early")
-        sim.run()
-        assert fired == ["early", "late"]
-        assert sim.events_executed == 2
-
-
-# ----------------------------------------------------------------------
-# Runtime sanitizer: RNG stream guard
-# ----------------------------------------------------------------------
-class TestRngStreamGuard:
-    def test_counts_draws_per_stream(self):
-        guard = RngStreamGuard()
-        churn = guard.stream("churn", seed="1-churn")
-        faults = guard.stream("faults", seed="1-faults")
-        for _ in range(3):
-            churn.random()
-        faults.randint(0, 10)
-        assert guard.draws == {"churn": 3, "faults": 1}
-        assert guard.report()["total_draws"] == 4
-        assert guard.clean
-
-    def test_streams_are_seed_reproducible(self):
-        draws_a = [RngStreamGuard().stream("s", seed="7-x").random()
-                   for _ in range(1)]
-        draws_b = [RngStreamGuard().stream("s", seed="7-x").random()
-                   for _ in range(1)]
-        assert draws_a == draws_b
-
-    def test_duplicate_stream_name_rejected(self):
-        guard = RngStreamGuard()
-        guard.stream("churn", seed=1)
-        with pytest.raises(ValueError, match="already registered"):
-            guard.stream("churn", seed=2)
-
-    def test_module_global_draw_is_flagged(self):
-        import random as random_module
-
-        guard = RngStreamGuard()
-        with guard.guard_module_rng():
-            random_module.random()  # simlint: disable=SIM102 (the fixture)
-        assert not guard.clean
-        (draw,) = guard.unregistered
-        assert draw["function"] == "random.random"
-        assert "test_simlint" in draw["site"]
-
-    def test_guard_restores_module_functions(self):
-        import random as random_module
-
-        before = random_module.random
-        with RngStreamGuard().guard_module_rng():
-            assert random_module.random is not before
-        assert random_module.random is before
-
-    def test_registered_draws_stay_clean_under_guard(self):
-        guard = RngStreamGuard()
-        stream = guard.stream("wifi", seed="1-wifi")
-        with guard.guard_module_rng():
-            stream.random()
-        assert guard.clean
-        assert guard.draws["wifi"] == 1
 
 
 # ----------------------------------------------------------------------
