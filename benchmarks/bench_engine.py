@@ -372,7 +372,7 @@ def test_flight_recorder_note_throughput(benchmark):
 
 def test_traced_e2e_run(benchmark):
     """The tiny end-to-end scenario under ``Observatory.full()`` —
-    tracer, profiler, spans and recorder all live.  Tracks the price of
+    tracer, spans and recorder all live.  Tracks the price of
     full instrumentation on a real run, and asserts the causal tree
     still reconstructs (recruitment chain + flood attribution)."""
     from repro.core.config import SimulationConfig

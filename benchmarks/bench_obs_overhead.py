@@ -2,10 +2,11 @@
 
 The contract (DESIGN.md "Observability") is that an *uninstrumented* run
 pays nearly nothing: a bare :class:`Simulator` defaults to
-``NULL_OBSERVATORY`` and executes the fast loop, and the default
-``Observatory()`` (real registry, null tracer, no profiler) still takes
-that same loop.  Only ``Observatory.full()`` switches to the
-instrumented loop, whose cost we report but do not bound.
+``NULL_OBSERVATORY``, and the default ``Observatory()`` (real registry,
+null tracer, null spans) runs the same loop with tracing off, which
+costs one local test per event.  ``Observatory.full()`` turns the
+tracer on, so the loop also emits a ``sched.fire`` event per callback;
+that cost we report but do not bound.
 
 Timings use min-of-N: the minimum over several repeats is the least
 noisy estimator for "how fast can this loop go", which is what an
@@ -58,7 +59,8 @@ def _best_in_turns(*makers) -> list:
 
 
 def test_off_mode_overhead_under_5_percent():
-    """Default Observatory (metrics-only) must ride the fast loop."""
+    """Default Observatory (metrics-only) must cost what a bare
+    simulator does: the same loop, tracing off."""
     bare, metrics_only = _best_in_turns(None, Observatory)
     overhead = metrics_only / bare - 1.0
     print(
@@ -70,7 +72,7 @@ def test_off_mode_overhead_under_5_percent():
 
 
 def test_report_full_instrumentation_cost():
-    """Informational: events/sec with tracer + profiler fully on."""
+    """Informational: events/sec with the tracer and spans on."""
     bare, full = _best_in_turns(None, Observatory.full)
     print(
         f"\nbare: {N_EVENTS / bare:,.0f} ev/s | "
@@ -78,7 +80,7 @@ def test_report_full_instrumentation_cost():
         f"slowdown: {full / bare:.2f}x"
     )
     # Sanity only — full instrumentation is allowed to cost, but a >20x
-    # slowdown would mean the instrumented loop regressed badly.
+    # slowdown would mean per-event tracing regressed badly.
     assert full / bare < 20.0
 
 

@@ -11,8 +11,8 @@ pre-attack phase, the flood, cooldown — as an ASCII timeline.
 It also runs fully instrumented (``Observatory.full()``) to show the
 rest of the observability layer: the typed event trace — when each
 device was recruited, when exploits landed — the causal span tree that
-chains exploit → recruit → flood train, the always-on flight recorder,
-and the scheduler profile.
+chains exploit → recruit → flood train, and the always-on flight
+recorder.
 
 Run:  python examples/live_telemetry.py
 """
@@ -99,9 +99,6 @@ def main() -> None:
     print(f"\nflight recorder: {recorder.noted} landmarks noted, "
           f"{len(recorder.recent())} in the ring, "
           f"{len(recorder.dumps)} dumps (none forced — clean run)")
-
-    print("\nscheduler hot sites:")
-    print(ddosim.obs.profiler.format_table(limit=5))
 
 
 if __name__ == "__main__":

@@ -53,7 +53,8 @@ def capture_tserver_traffic(ddosim: DDoSim) -> List[CapturedPacket]:
     The capture wraps TServer's UDP default handler, the hook the §V-A1
     defenses use, at t=0: ``run()`` starts the sink before its first
     event.  It refuses the configs whose flood never reaches that
-    handler packet by packet.
+    handler packet by packet, and the run raises at t=0 if there is no
+    handler to wrap then (the sink was stopped).
     """
     config = ddosim.config
     if config.flood_flow == "all":
@@ -72,6 +73,11 @@ def capture_tserver_traffic(ddosim: DDoSim) -> List[CapturedPacket]:
 
     def install() -> None:
         sink_handler = udp.default_handler
+        if sink_handler is None:
+            raise ValueError(
+                "TServer has no UDP default handler to capture at: its "
+                "sink is not running"
+            )
 
         def record(packet, udp_header, ip_header) -> None:
             records.append(datagram_record(sim.now, packet, udp_header, ip_header))

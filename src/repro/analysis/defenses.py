@@ -16,9 +16,11 @@ exploits".  Two defenses are provided, matching its insights:
 
 Both wrap the node's UDP default handler (the sink), so they see every
 datagram the sink would: a packet train is counted member by member and
-accepted or dropped whole.  A fully fluid flood (``flood_flow="all"``)
-is credited to the sink analytically and never reaches that handler, so
-installing either defense under it raises.
+accepted or dropped whole.  Installing either raises when there is no
+handler to wrap yet (install after the sink starts: ``DDoSim.run()``
+starts it before the first event), and under a fully fluid flood
+(``flood_flow="all"``), which is credited to the sink analytically and
+never reaches that handler.
 """
 
 from __future__ import annotations
@@ -32,13 +34,22 @@ from repro.netsim.headers import UdpHeader
 from repro.netsim.node import Node
 
 
-def _refuse_fluid_flood(node: Node) -> None:
+def _sink_handler(node: Node):
+    """The UDP default handler a defense wraps; raises when the flood
+    cannot reach it or there is none yet."""
     flows = node.sim.flows
     if flows is not None and flows.mode == "all":
         raise ValueError(
             "flood_flow='all' credits the sink analytically: the flood "
             "bypasses a defense on the UDP handler"
         )
+    handler = node.udp.default_handler
+    if handler is None:
+        raise ValueError(
+            f"{node.name} has no UDP default handler to wrap: start its "
+            "sink first"
+        )
+    return handler
 
 
 class PerSourcePolicer:
@@ -73,8 +84,7 @@ class PerSourcePolicer:
         """Interpose on the node's promiscuous UDP handler (the sink)."""
         if self._installed:
             return
-        _refuse_fluid_flood(self.node)
-        self._inner_handler = self.node.udp.default_handler
+        self._inner_handler = _sink_handler(self.node)
         self.node.udp.set_default_handler(self._filter)
         self._installed = True
 
@@ -109,8 +119,7 @@ class PerSourcePolicer:
         if self._allow(ip_header.src, nbytes):
             self.accepted_packets += count
             self.accepted_bytes += nbytes
-            if self._inner_handler is not None:
-                self._inner_handler(packet, udp_header, ip_header)
+            self._inner_handler(packet, udp_header, ip_header)
         else:
             self.dropped_packets += count
             self.dropped_bytes += nbytes
@@ -146,21 +155,20 @@ class ClassifierFirewall:
     def install(self) -> None:
         if self._installed:
             return
-        _refuse_fluid_flood(self.node)
-        self._inner_handler = self.node.udp.default_handler
+        self._inner_handler = _sink_handler(self.node)
         self.node.udp.set_default_handler(self._filter)
         self.sim.schedule(self.window, self._rotate)
         self._installed = True
 
     def _filter(self, packet, udp_header, ip_header) -> None:
-        self._current_window.append(
-            datagram_record(self.sim.now, packet, udp_header, ip_header)
-        )
+        # One row per packet, as the classifier was trained: a train's
+        # members all arrive now, so they share one row object.
+        record = datagram_record(self.sim.now, packet, udp_header, ip_header)
+        self._current_window.extend([record] * packet.count)
         if self.blocking:
             self.packets_dropped += packet.count
             return
-        if self._inner_handler is not None:
-            self._inner_handler(packet, udp_header, ip_header)
+        self._inner_handler(packet, udp_header, ip_header)
 
     def _rotate(self) -> None:
         records, self._current_window = self._current_window, []

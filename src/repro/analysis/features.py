@@ -51,8 +51,10 @@ def datagram_record(now: float, packet, udp_header, ip_header) -> CapturedPacket
     """The capture row of one datagram reaching a UDP handler at ``now``.
 
     ``size`` is the wire size the node saw: payload plus the UDP and IP
-    headers, which were popped on the way up.  A packet train is one
-    row, so callers that need one row per packet must refuse trains.
+    headers, which were popped on the way up.  A packet train gives one
+    row for all ``packet.count`` members: callers that need one row per
+    packet repeat it that many times (the classifier firewall) or refuse
+    trains (the detection capture).
     """
     return CapturedPacket(
         time=now,

@@ -10,16 +10,13 @@ Commands:
 * ``faultsweep``  — fault-plan intensity sweep (``repro.faults``).
 * ``recruitment`` — infection rate per CVE x protection profile (R1/R2).
 * ``epidemic``    — worm-spread propagation + SI fit (use case V-A2).
-* ``obs``         — fully-instrumented run: scheduler profile, event
-  counts, optional Chrome trace / metrics / filtered JSONL exports.
 * ``report``      — self-contained HTML report of one run (span
   timeline, attack tree, sparklines, flight-recorder dumps) or of the
   cached Figure 2 sweep; ``--flows`` adds a NetFlow-style JSONL export.
 * ``cache``       — run-cache maintenance: ``stats``, ``clear``, ``gc``.
 * ``lint``        — determinism linter (``repro.simlint``): the SIM1xx
   rules; nonzero exit on violations (the CI gate).  ``--fix`` applies
-  mechanical rewrites, ``--diff BASE`` lints only changed files,
-  ``--baseline FILE`` subtracts recorded findings.
+  mechanical rewrites, ``--diff BASE`` lints only changed files.
 * ``verify-determinism`` — execute the determinism contract: one config
   twice (first diverging trace event or per-subsystem end-state
   fingerprint on mismatch) and a figure2 sweep at ``--jobs 1`` vs
@@ -31,12 +28,12 @@ the rows, and caches finished grid points under ``--cache-dir``
 points — ``--no-cache`` forces every point to simulate.  ``run``
 accepts ``--config PATH`` to load a JSON config
 and ``--faults PATH`` to arm a :mod:`repro.faults` plan against it.
-``run`` also accepts ``--trace-out`` (full instrumentation + Chrome
-``trace_event`` file — load it at ``chrome://tracing`` or
-https://ui.perfetto.dev) and ``--metrics-out`` (metrics-registry
-snapshot; metrics-only instrumentation so the snapshot stays
-byte-comparable across runs).  Every output path is opened for writing
-before any work starts, so a bad path fails at once, not after a run.
+``run`` also accepts ``--trace-out`` (event tracer + span tracking,
+written as a Chrome ``trace_event`` file — load it at
+``chrome://tracing`` or https://ui.perfetto.dev) and ``--metrics-out``
+(metrics-registry snapshot, byte-identical with or without
+``--trace-out``).  Every output path is opened for writing before any
+work starts, so a bad path fails at once, not after a run.
 """
 
 from __future__ import annotations
@@ -158,8 +155,7 @@ def _telemetry_from_args(args: argparse.Namespace, label: str):
 
 
 #: every output-path option of any command, checked before work starts
-_OUTPUT_ARGS = ("json", "csv", "out", "flows", "trace_out", "metrics_out",
-                "jsonl_out")
+_OUTPUT_ARGS = ("json", "csv", "out", "flows", "trace_out", "metrics_out")
 
 
 def _check_writable(*paths: Optional[str]) -> None:
@@ -189,16 +185,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
-    # Full instrumentation only for the Chrome trace: the profiler's
-    # wall-clock gauges would make a --metrics-out snapshot differ
-    # between two runs of the same config, and that snapshot must stay
-    # byte-comparable across runs.
-    if trace_out:
-        observatory = Observatory.full()
-    elif metrics_out:
-        observatory = Observatory()
-    else:
-        observatory = None
+    observatory = Observatory.full() if trace_out else None
 
     ddosim = DDoSim(_config_from_args(args), observatory=observatory)
     try:
@@ -217,43 +204,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         ddosim.obs.write_metrics_json(metrics_out)
         print(f"wrote {metrics_out}")
     print(format_table([result.row()]))
-    return 0
-
-
-def cmd_obs(args: argparse.Namespace) -> int:
-    """Run fully instrumented and report where the simulation spends
-    its time and what it emits."""
-    from repro.obs import Observatory
-
-    config = _config_from_args(args)
-    observatory = Observatory.full(trace_capacity=args.trace_capacity)
-    ddosim = DDoSim(config, observatory=observatory)
-    ddosim.run()
-
-    profiler = ddosim.obs.profiler
-    print("scheduler hot sites (by wall time)")
-    print(profiler.format_table(limit=args.top))
-    print()
-    print("event counts (emitted / retained)")
-    tracer = ddosim.obs.tracer
-    counts = tracer.counts()
-    for name in sorted(counts):
-        retained = len(tracer.events(name))
-        evicted = tracer.evicted.get(name, 0)
-        suffix = f" ({evicted} evicted)" if evicted else ""
-        print(f"  {name:<22} {counts[name]:>8} / {retained}{suffix}")
-    if args.trace_out:
-        ddosim.obs.write_trace_chrome(args.trace_out)
-        print(f"wrote {args.trace_out}")
-    if args.metrics_out:
-        ddosim.obs.write_metrics_json(args.metrics_out)
-        print(f"wrote {args.metrics_out}")
-    if args.jsonl_out:
-        names = args.type if args.type else None
-        with open(args.jsonl_out, "w", encoding="utf-8") as handle:
-            handle.write(tracer.to_jsonl(names=names, since=args.since,
-                                         limit=args.limit))
-        print(f"wrote {args.jsonl_out}")
     return 0
 
 
@@ -415,11 +365,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Run the determinism linter; exit 1 when violations remain."""
     from repro.simlint import format_json, format_text, lint_paths
     from repro.simlint.engine import changed_python_files
-    from repro.simlint.reporting import (
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
 
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
@@ -451,17 +396,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     except ValueError as exc:  # unknown --select/--ignore code
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        write_baseline(violations, args.write_baseline)
-        print(f"baseline: {len(violations)} finding(s) -> "
-              f"{args.write_baseline}", file=sys.stderr)
-        return 0
-    if args.baseline:
-        try:
-            violations = apply_baseline(violations, load_baseline(args.baseline))
-        except (OSError, ValueError) as exc:
-            print(f"error: baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
     if args.format == "json":
         print(format_json(violations))
     else:
@@ -523,35 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--json", help="write the full RunResult as JSON")
     run_parser.add_argument("--trace-out",
                             help="write a Chrome trace_event file "
-                                 "(enables full instrumentation)")
+                                 "(enables the event tracer and spans)")
     run_parser.add_argument("--metrics-out",
-                            help="write a metrics-registry snapshot as JSON "
-                                 "(enables metrics instrumentation)")
+                            help="write a metrics-registry snapshot as JSON")
     run_parser.set_defaults(func=cmd_run)
-
-    obs_parser = commands.add_parser(
-        "obs", help="instrumented run: scheduler profile + event trace"
-    )
-    _add_common_run_args(obs_parser)
-    obs_parser.add_argument("--config", help="JSON config file (overrides flags)")
-    obs_parser.add_argument("--top", type=int, default=15,
-                            help="profiler sites to print")
-    obs_parser.add_argument("--trace-capacity", type=int, default=65536,
-                            help="ring-buffer capacity per event type")
-    obs_parser.add_argument("--trace-out", help="write Chrome trace_event JSON")
-    obs_parser.add_argument("--metrics-out", help="write metrics snapshot JSON")
-    obs_parser.add_argument("--jsonl-out",
-                            help="write buffered trace events as JSONL")
-    obs_parser.add_argument("--type", action="append",
-                            help="JSONL filter: keep only this event type "
-                                 "(repeatable)")
-    obs_parser.add_argument("--since", type=float,
-                            help="JSONL filter: events at or after this "
-                                 "virtual time")
-    obs_parser.add_argument("--limit", type=int,
-                            help="JSONL filter: keep only the newest N "
-                                 "events after other filters")
-    obs_parser.set_defaults(func=cmd_obs)
 
     report_parser = commands.add_parser(
         "report", help="self-contained HTML report of a run or sweep"
@@ -672,12 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument("--diff", metavar="BASE",
                              help="lint only files changed vs this git ref "
                                   "(the pre-commit fast path)")
-    lint_parser.add_argument("--baseline", metavar="FILE",
-                             help="subtract findings recorded in this "
-                                  "baseline JSON; only new violations fail")
-    lint_parser.add_argument("--write-baseline", metavar="FILE",
-                             help="snapshot current findings to FILE and "
-                                  "exit 0")
     lint_parser.add_argument("--ignore",
                              help="comma-separated rule codes to skip")
     lint_parser.set_defaults(func=cmd_lint)

@@ -52,8 +52,8 @@ class DDoSim:
         print(result.attack.avg_received_kbps)
 
     Pass ``observatory=Observatory.full()`` to capture a structured event
-    trace and scheduler profile alongside the metrics registry every run
-    carries (the registry is what :class:`TelemetrySampler` samples).
+    trace and the causal span tree alongside the metrics registry every
+    run carries (the registry is what :class:`TelemetrySampler` samples).
     """
 
     def __init__(self, config: SimulationConfig,

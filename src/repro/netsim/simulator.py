@@ -23,19 +23,20 @@ push millions of events through it, so the hot path is kept lean:
   count (``pending_events``) and compacts the heap when tombstones
   outnumber live events, so retransmit/churn cancellation storms cannot
   bloat it.
-* Two run loops pop the heap: the uninstrumented fast loop every run
-  takes by default, and the instrumented loop an ``Observatory.full()``
-  switches to (per-site wall timing, ``sched.fire`` trace events).
+* One run loop pops the heap.  It reads ``tracer.enabled`` once per
+  :meth:`Simulator.run` and emits a ``sched.fire`` trace event per
+  fired callback only when the observatory's tracer is on
+  (``Observatory.full()``); otherwise tracing costs one local test per
+  event.
 """
 
 from __future__ import annotations
 
-import time
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional
 
 from repro.obs.observatory import NULL_OBSERVATORY
-from repro.obs.profiler import site_of
+from repro.obs.trace import site_of
 
 #: compaction trigger: tombstones must exceed this count *and* the live
 #: count before the queue is rebuilt (small queues never pay for it)
@@ -102,8 +103,9 @@ class Simulator:
         self._live = 0        # scheduled, not yet fired or cancelled
         self._tombstones = 0  # cancelled but still queued
         self.events_executed: int = 0
-        #: observability hub (registry + tracer + profiler); the default
-        #: null observatory keeps run() on the uninstrumented fast loop.
+        #: observability hub (registry + tracer + spans + recorder); the
+        #: default null observatory has a null tracer, so run() emits no
+        #: ``sched.fire`` events.
         self.obs = NULL_OBSERVATORY
         #: fluid-flow engine (repro.netsim.flows.FlowEngine) when the
         #: hybrid datapath is active; None keeps the packet path exact.
@@ -216,10 +218,7 @@ class Simulator:
         self._running = True
         self._stopped = False
         try:
-            if self.obs.instrumented:
-                self._run_instrumented(until)
-            else:
-                self._run_heap(until)
+            self._run_heap(until)
         except Exception:
             # An exception escaping the event loop (a failed assertion, a
             # crashing callback) force-dumps the flight recorder so the
@@ -236,9 +235,12 @@ class Simulator:
         return self._now
 
     def _run_heap(self, until: Optional[float]) -> None:
-        """The uninstrumented hot loop every run takes by default."""
+        """The run loop: pop, skip tombstones, fire.  A ``sched.fire``
+        event names each fired callback's site when tracing is on."""
         heap = self._heap
         limit = float("inf") if until is None else until
+        tracer = self.obs.tracer
+        trace_on = tracer.enabled
         while heap and not self._stopped:
             if heap[0][0] > limit:
                 break
@@ -251,44 +253,9 @@ class Simulator:
             self._now = when
             self._live -= 1
             self.events_executed += 1
-            callback(*args)
-
-    def _run_instrumented(self, until: Optional[float]) -> None:
-        """The observed run loop: per-site wall timing, queue high-water,
-        and ``sched.fire`` trace events.  Split from :meth:`run` so the
-        default loop stays the uninstrumented hot path."""
-        heap = self._heap
-        limit = float("inf") if until is None else until
-        profiler = self.obs.profiler
-        tracer = self.obs.tracer
-        trace_on = tracer.enabled
-        # Wall time is the *measurement* here (profiling callback cost),
-        # never an input to the simulation.
-        perf = time.perf_counter  # simlint: disable=SIM101
-        if profiler is not None:
-            profiler.start_run()
-        while heap and not self._stopped:
-            if profiler is not None and len(heap) > profiler.heap_high_water:
-                profiler.heap_high_water = len(heap)
-            if heap[0][0] > limit:
-                break
-            when, _, callback, args, handle = heappop(heap)
-            if handle is not None:
-                if handle.cancelled:
-                    self._tombstones -= 1
-                    continue
-                handle._sim = None
-            self._now = when
-            self._live -= 1
-            self.events_executed += 1
             if trace_on:
-                tracer.emit("sched.fire", self._now, site=site_of(callback))
-            if profiler is not None:
-                started = perf()
-                callback(*args)
-                profiler.record(callback, perf() - started)
-            else:
-                callback(*args)
+                tracer.emit("sched.fire", when, site=site_of(callback))
+            callback(*args)
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
@@ -311,7 +278,7 @@ class Simulator:
     @property
     def queued_entries(self) -> int:
         """Raw heap length including cancelled tombstones (what the
-        heap physically holds; profiler high-water tracks this)."""
+        heap physically holds)."""
         return len(self._heap)
 
     def fingerprint_events(self):

@@ -41,10 +41,14 @@ class PacketSink(Application):
         self._spans = NULL_SPANS
         #: per-FluidFlow quantization state: [byte_remainder, packet_remainder]
         self._fluid: Dict[object, list] = {}
+        #: the UDP default handler at the last stop: the sink's own, or a
+        #: defense/capture chain wrapping it, which a restart puts back
+        self._handler_at_stop = None
 
     def _do_start(self) -> None:
         self._spans = self.sim.obs.spans
-        self.node.udp.set_default_handler(self._on_datagram)
+        handler, self._handler_at_stop = self._handler_at_stop, None
+        self.node.udp.set_default_handler(handler or self._on_datagram)
         # Fluid datapath endpoint: analytic flow arrivals are credited
         # here; sink availability is a rate-change epoch for the solver.
         self.node.fluid_sink = self
@@ -53,6 +57,7 @@ class PacketSink(Application):
             flows.on_link_change()
 
     def _do_stop(self) -> None:
+        self._handler_at_stop = self.node.udp.default_handler
         self.node.udp.set_default_handler(None)
         self.node.fluid_sink = None
         flows = self.sim.flows

@@ -1,15 +1,13 @@
 """repro.obs — the unified observability layer.
 
-Three instruments, one facade:
+The instruments, one facade:
 
 * :mod:`repro.obs.metrics` — a metrics registry (:class:`Counter`,
   :class:`Gauge`, :class:`Histogram`, labeled families) with
   snapshot/delta export to dict/JSON/CSV;
 * :mod:`repro.obs.trace` — a structured event tracer (bounded per-type
-  ring buffers of typed events stamped with virtual + wall time) with
-  JSONL and Chrome ``trace_event`` exporters;
-* :mod:`repro.obs.profiler` — a scheduler profiler aggregating wall time
-  and fire counts per callback site;
+  ring buffers of typed events stamped with virtual + wall time) with a
+  Chrome ``trace_event`` exporter;
 * :mod:`repro.obs.spans` — causal span tracking with deterministic IDs,
   reconstructing the recruitment-and-attack tree of a run;
 * :mod:`repro.obs.recorder` — an always-on bounded flight recorder
@@ -20,8 +18,12 @@ Three instruments, one facade:
 :class:`Observatory` bundles them and rides on the simulator
 (``sim.obs``), so every layer — scheduler, queues, links, TCP,
 containers, C&C, exploits, churn — reports into one place.  The default
-is :data:`NULL_OBSERVATORY`: a no-op shell that keeps uninstrumented
-runs at seed-engine speed.
+is :data:`NULL_OBSERVATORY`: a no-op shell under which no layer records
+anything.
+
+Where the *wall* time of a run goes is a different question, answered
+per layer by ``python3 perfbench/run.py --workload packet-50 --trace 1``
+and per function by ``python -m cProfile -s tottime -m repro run ...``.
 """
 
 from repro.obs.metrics import (
@@ -36,7 +38,6 @@ from repro.obs.metrics import (
     NullRegistry,
 )
 from repro.obs.observatory import NULL_OBSERVATORY, NullObservatory, Observatory
-from repro.obs.profiler import SchedulerProfiler, site_of
 from repro.obs.recorder import FlightRecorder, NULL_RECORDER, NullRecorder
 from repro.obs.report import flows_jsonl, render_run_report, render_sweep_report
 from repro.obs.spans import (
@@ -46,7 +47,13 @@ from repro.obs.spans import (
     SpanTracker,
     canonical_spans_run,
 )
-from repro.obs.trace import EventTracer, NULL_TRACER, NullTracer, TraceEvent
+from repro.obs.trace import (
+    EventTracer,
+    NULL_TRACER,
+    NullTracer,
+    TraceEvent,
+    site_of,
+)
 
 __all__ = [
     "Counter",
@@ -69,7 +76,6 @@ __all__ = [
     "NullSpans",
     "NullTracer",
     "Observatory",
-    "SchedulerProfiler",
     "Span",
     "SpanTracker",
     "TraceEvent",

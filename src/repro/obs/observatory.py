@@ -1,20 +1,21 @@
-"""The Observatory: one object bundling registry + tracer + profiler.
+"""The Observatory: one object bundling registry + tracer + spans + recorder.
 
 Every :class:`repro.netsim.simulator.Simulator` carries an observatory
 (``sim.obs``); instrumented layers reach it through their simulator
 reference, so wiring the whole stack is a single
 ``sim.attach_observatory(...)`` call.  The default is
-:data:`NULL_OBSERVATORY` — null registry, null tracer, no profiler —
-which keeps the uninstrumented hot path identical to the seed engine.
+:data:`NULL_OBSERVATORY` — null registry, null tracer, null spans —
+under which no layer records anything.
 
 ``Observatory()`` (the :class:`DDoSim` default) carries a *real* registry
 but a null tracer: callback gauges and low-rate counters work, telemetry
-sources from the registry, and per-event tracing/profiling stays off.
-It also always carries a :class:`repro.obs.recorder.FlightRecorder` —
-the recorder only sees low-rate landmark notes, so it is cheap enough
-to be always-on and post-mortems never start blank.
-``Observatory.full()`` turns everything on (tracer, profiler, causal
-span tracking) for trace/metrics export runs.
+sources from the registry, and per-event tracing stays off.  It also
+always carries a :class:`repro.obs.recorder.FlightRecorder` — the
+recorder only sees low-rate landmark notes, so it is cheap enough to be
+always-on and post-mortems never start blank.  ``Observatory.full()``
+adds the event tracer (``sched.fire`` and every layer's events) and
+causal span tracking, for trace exports and reports.  Neither touches
+the registry, so both observatories give the same metrics snapshot.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, NullRegistry
-from repro.obs.profiler import SchedulerProfiler
 from repro.obs.recorder import FlightRecorder, NULL_RECORDER
 from repro.obs.spans import NULL_SPANS, SpanTracker
 from repro.obs.trace import EventTracer, NULL_TRACER
@@ -35,13 +35,11 @@ class Observatory:
         self,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
-        profiler: Optional[SchedulerProfiler] = None,
         spans=None,
         recorder=None,
     ):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.profiler = profiler
         self.spans = spans if spans is not None else NULL_SPANS
         # Always-on by default; pass NULL_RECORDER explicitly to disable.
         self.recorder = recorder if recorder is not None else FlightRecorder()
@@ -53,59 +51,22 @@ class Observatory:
             self.spans.recorder = self.recorder
 
     @classmethod
-    def full(cls, trace_capacity: int = 65536,
-             span_capacity: int = 1_000_000) -> "Observatory":
-        """Everything on: registry + tracer + profiler + span tracking."""
-        return cls(
-            metrics=MetricsRegistry(),
-            tracer=EventTracer(capacity_per_type=trace_capacity),
-            profiler=SchedulerProfiler(),
-            spans=SpanTracker(max_spans=span_capacity),
-        )
-
-    @property
-    def instrumented(self) -> bool:
-        """True when the simulator must run its instrumented loop."""
-        return self.profiler is not None or self.tracer.enabled
+    def full(cls) -> "Observatory":
+        """Everything on: registry + event tracer + span tracking."""
+        return cls(tracer=EventTracer(), spans=SpanTracker())
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def export_metrics(self) -> dict:
-        """Registry snapshot with the scheduler family folded in."""
-        if self.profiler is not None and not isinstance(self.metrics, NullRegistry):
-            prof = self.profiler
-            self.metrics.gauge(
-                "sched_events_total", help="events dispatched by the scheduler"
-            ).set(prof.events)
-            self.metrics.gauge(
-                "sched_events_per_sec", help="scheduler dispatch throughput"
-            ).set(prof.events_per_sec())
-            self.metrics.gauge(
-                "sched_callback_wall_seconds", help="wall time spent in callbacks"
-            ).set(prof.wall_seconds)
-            self.metrics.gauge(
-                "sched_heap_high_water", help="peak pending-event heap depth"
-            ).set(prof.heap_high_water)
-        return self.metrics.snapshot()
-
     def write_metrics_json(self, path: str) -> None:
         import json
 
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.export_metrics(), handle, indent=2, sort_keys=True)
+            json.dump(self.metrics.snapshot(), handle, indent=2, sort_keys=True)
 
     def write_trace_chrome(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.tracer.to_chrome_json())
-
-    def write_trace_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.tracer.to_jsonl())
-
-    def write_spans_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.spans.to_jsonl())
 
 
 class NullObservatory:
@@ -113,13 +74,8 @@ class NullObservatory:
 
     metrics = NULL_REGISTRY
     tracer = NULL_TRACER
-    profiler = None
     spans = NULL_SPANS
     recorder = NULL_RECORDER
-    instrumented = False
-
-    def export_metrics(self) -> dict:
-        return NULL_REGISTRY.snapshot()
 
 
 NULL_OBSERVATORY = NullObservatory()

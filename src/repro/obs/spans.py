@@ -217,11 +217,6 @@ class SpanTracker:
         ordered = sorted(self._spans, key=lambda s: (s.t_start, s.span_id))
         return [span.to_dict() for span in ordered]
 
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(record, sort_keys=True, default=str)
-                 for record in self.to_dicts()]
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def tree(self) -> List[dict]:
         """The causal forest: every root span with children nested under
         ``"children"``, deterministically ordered by (t_start, id)."""
@@ -289,9 +284,6 @@ class NullSpans:
 
     def to_dicts(self) -> List[dict]:
         return []
-
-    def to_jsonl(self) -> str:
-        return ""
 
     def tree(self) -> List[dict]:
         return []

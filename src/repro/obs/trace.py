@@ -26,7 +26,18 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional
+
+
+def site_of(callback) -> str:
+    """Stable site key for a scheduled callback (module.qualname): the
+    ``site`` field of ``sched.fire`` events and of the scheduler's
+    end-state fingerprint rows."""
+    qualname = getattr(callback, "__qualname__", None)
+    if qualname is None:
+        return type(callback).__name__
+    module = getattr(callback, "__module__", "") or ""
+    return f"{module.rsplit('.', 1)[-1]}.{qualname}" if module else qualname
 
 
 class TraceEvent:
@@ -39,11 +50,6 @@ class TraceEvent:
         self.t = t
         self.wall = wall
         self.fields = fields
-
-    def to_dict(self) -> dict:
-        out = {"event": self.name, "t": self.t, "wall": self.wall}
-        out.update(self.fields)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<TraceEvent {self.name} t={self.t:.6f} {self.fields}>"
@@ -113,53 +119,6 @@ class EventTracer:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def eviction_summary(self) -> Optional[dict]:
-        """Self-describing truncation record, or None when nothing was
-        evicted.  ``evicted`` maps event type -> count of records the
-        ring dropped; exports lead with this so a sliced trace is never
-        mistaken for a complete one."""
-        evicted = {name: count for name, count in self.evicted.items() if count}
-        if not evicted:
-            return None
-        return {
-            "event": "trace.evictions",
-            "capacity_per_type": self.capacity_per_type,
-            "evicted": dict(sorted(evicted.items())),
-            "total_evicted": sum(evicted.values()),
-        }
-
-    def to_jsonl(
-        self,
-        names: Optional[Iterable[str]] = None,
-        since: Optional[float] = None,
-        limit: Optional[int] = None,
-    ) -> str:
-        """One JSON object per line, time-ordered.
-
-        ``names`` keeps only those event types, ``since`` drops events
-        before that virtual time, ``limit`` keeps only the *newest* N
-        matching events — so a multi-gigabyte flood trace can be sliced
-        without materializing all of it downstream.  When the rings
-        themselves evicted records, the first line is a
-        ``trace.evictions`` summary making the truncation explicit.
-        """
-        wanted = set(names) if names is not None else None
-        selected = [
-            event for event in self.events()
-            if (wanted is None or event.name in wanted)
-            and (since is None or event.t >= since)
-        ]
-        if limit is not None and limit >= 0:
-            selected = selected[max(0, len(selected) - limit):]
-        lines = [
-            json.dumps(event.to_dict(), sort_keys=True, default=str)
-            for event in selected
-        ]
-        summary = self.eviction_summary()
-        if summary is not None:
-            lines.insert(0, json.dumps(summary, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def to_chrome_json(self, indent: Optional[int] = None) -> str:
         """Chrome ``trace_event`` JSON: load via chrome://tracing or Perfetto.
 
@@ -194,10 +153,11 @@ class EventTracer:
             for name, tid in tids.items()
         ]
         other_data = {"clock": "virtual-time", "source": "repro.obs"}
-        summary = self.eviction_summary()
-        if summary is not None:
-            other_data["evicted"] = summary["evicted"]
-            other_data["total_evicted"] = summary["total_evicted"]
+        evicted = {name: count for name, count in self.evicted.items() if count}
+        if evicted:
+            # a truncated trace says so, so it never passes for a whole one
+            other_data["evicted"] = dict(sorted(evicted.items()))
+            other_data["total_evicted"] = sum(evicted.values())
         document = {
             "traceEvents": metadata + trace_events,
             "displayTimeUnit": "ms",
@@ -228,17 +188,6 @@ class NullTracer:
 
     def clear(self) -> None:
         pass
-
-    def eviction_summary(self) -> Optional[dict]:
-        return None
-
-    def to_jsonl(
-        self,
-        names: Optional[Iterable[str]] = None,
-        since: Optional[float] = None,
-        limit: Optional[int] = None,
-    ) -> str:
-        return ""
 
     def to_chrome_json(self, indent: Optional[int] = None) -> str:
         return json.dumps({"traceEvents": [], "displayTimeUnit": "ms"})

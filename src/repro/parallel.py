@@ -40,7 +40,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SimulationConfig
 from repro.obs.recorder import FlightRecorder
-from repro.obs.spans import SpanTracker
 
 
 def _mp_context():
@@ -195,18 +194,17 @@ def _abandon(pool) -> None:
 # Sweep telemetry
 # ----------------------------------------------------------------------
 class SweepTelemetry:
-    """Live observability for one sweep: per-point worker spans, cache
+    """Live observability for one sweep: per-point wall times, cache
     hit/miss attribution, straggler flagging and an ETA, streamed as
     progress lines (stderr by default).
 
     This is *harness* telemetry — it measures the sweep machinery in
     wall time, not the simulation, so it lives outside the determinism
-    contract: enabling ``--progress`` cannot change a single row.  Each
-    completed point becomes a span in a sweep-local :class:`SpanTracker`
-    (wall-clock offsets from :meth:`begin`), and every progress event is
-    noted into a sweep-local :class:`FlightRecorder` that dumps itself
-    when a worker dies or the sweep parent is interrupted, so a crashed
-    sweep leaves a post-mortem of the points that led up to the death.
+    contract: enabling ``--progress`` cannot change a single row.  Every
+    progress event is noted (wall-clock offsets from :meth:`begin`) into
+    a sweep-local :class:`FlightRecorder` that dumps itself when a
+    worker dies or the sweep parent is interrupted, so a crashed sweep
+    leaves a post-mortem of the points that led up to the death.
 
     ``quiet=True`` suppresses routine progress lines but keeps recording
     (and still prints worker-death/failure/interrupt diagnostics) — sweep
@@ -220,7 +218,6 @@ class SweepTelemetry:
         self.stream = stream if stream is not None else sys.stderr
         self.straggler_factor = straggler_factor
         self.quiet = quiet
-        self.spans = SpanTracker()
         self.recorder = FlightRecorder()
         self.total = 0
         self.jobs = 1
@@ -265,9 +262,6 @@ class SweepTelemetry:
         self.done += 1
         self.cached += 1
         t = self._now()
-        span = self.spans.start("sweep.point", t, entity=str(index),
-                                source="cache", **({"key": key} if key else {}))
-        self.spans.end(span, t)
         self.recorder.note("sweep.cache_hit", t, index=index,
                            **({"key": key} if key else {}))
         suffix = f" (key {key})" if key else ""
@@ -288,9 +282,6 @@ class SweepTelemetry:
         self._elapsed.append(elapsed)
         rss_text = self._track_rss(rss_kib)
         t = self._now()
-        span = self.spans.start("sweep.point", t - elapsed,
-                                entity=str(index), source="computed")
-        self.spans.end(span, t, elapsed=round(elapsed, 6))
         self.recorder.note("sweep.point_done", t, index=index,
                            elapsed=round(elapsed, 3),
                            **({"rss_kib": rss_kib} if rss_kib else {}))

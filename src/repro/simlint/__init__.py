@@ -6,7 +6,7 @@ reads, module-global RNG draws, set iteration into ordered sinks,
 mutable defaults, float time equality, ``id()`` sort keys, scheduled
 closures capturing loop variables, unused imports).  ``repro lint
 --fix`` applies the mechanical rewrites (:mod:`repro.simlint.fix`);
-``--diff`` and ``--baseline`` keep the gate incremental.
+``--diff`` lints only the files a change touches.
 
 Dynamic half — a double-run harness that executes a config twice and
 across ``--jobs`` and localizes the first diverging ``repro.obs`` trace
@@ -26,13 +26,9 @@ from repro.simlint.engine import (
 from repro.simlint.fix import FIXABLE_CODES, fix_paths, fix_source
 from repro.simlint.reporting import (
     SCHEMA_VERSION,
-    apply_baseline,
     format_json,
     format_text,
-    load_baseline,
     to_json_document,
-    violations_from_json,
-    write_baseline,
 )
 from repro.simlint.rules import (
     REGISTRY,
@@ -71,13 +67,9 @@ __all__ = [
     "fix_paths",
     "fix_source",
     "SCHEMA_VERSION",
-    "apply_baseline",
     "format_json",
     "format_text",
-    "load_baseline",
     "to_json_document",
-    "violations_from_json",
-    "write_baseline",
     "CheckResult",
     "DeterminismReport",
     "Divergence",

@@ -16,9 +16,6 @@ Escape hatches keep the gate honest rather than noisy:
 * **suppression comments** (``# simlint: disable=SIM101``) — for the
   handful of intentional violations elsewhere.  Suppressions are part
   of the diff, so every exception is reviewed like any other code.
-* **baselines** (``--baseline findings.json``) — a versioned-JSON
-  snapshot of pre-existing findings so a new rule can land strict
-  without a big-bang cleanup; see :mod:`repro.simlint.reporting`.
 * ``--diff BASE`` — lint only files changed against a git ref, the
   pre-commit fast path.
 """

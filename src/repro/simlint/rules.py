@@ -52,16 +52,6 @@ class Violation:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Violation":
-        return cls(
-            path=data["path"],
-            line=int(data["line"]),
-            col=int(data["col"]),
-            code=data["code"],
-            message=data["message"],
-        )
-
 
 #: every registered rule, keyed by code (populated by repro.simlint.checks)
 REGISTRY: Dict[str, Rule] = {}

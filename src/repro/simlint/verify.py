@@ -189,7 +189,7 @@ def _scheduler_entries(sim) -> List[list]:
     """The pending event queue as ``[time, seq, cancelled, site, args]``
     rows in total (time, seq) order — tombstones included, because a
     cancelled-but-not-compacted entry still shifts heap internals."""
-    from repro.obs.profiler import site_of
+    from repro.obs.trace import site_of
 
     entries = []
     for time, seq, callback, args, handle in sim.fingerprint_events():

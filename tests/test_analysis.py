@@ -103,6 +103,14 @@ class TestTServerCapture:
             str(source) for source, _port in sink.per_source
         }
 
+    def test_capture_raises_when_the_sink_is_stopped(self):
+        ddosim = DDoSim(SimulationConfig(n_devs=2, seed=2))
+        # scheduled first, so the sink stops before the capture installs
+        ddosim.sim.schedule(0.0, ddosim.tserver.sink.stop)
+        capture_tserver_traffic(ddosim)
+        with pytest.raises(ValueError, match="no UDP default handler"):
+            ddosim.run()
+
     @pytest.mark.parametrize("field, overrides", [
         ("flood_flow", {"flood_flow": "all"}),
         ("flood_train", {"flood_train": 8}),

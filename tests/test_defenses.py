@@ -5,8 +5,17 @@ import pytest
 
 from repro.analysis.defenses import ClassifierFirewall, PerSourcePolicer
 from repro.core import DDoSim, SimulationConfig
+from repro.faults import FaultPlan, FaultSpec
 from repro.netsim.node import Node
+from repro.netsim.simulator import Simulator
 from repro.netsim.sink import PacketSink
+from repro.netsim.topology import StarInternet
+
+#: parametrizes a test over both defenses, built on a given node
+each_defense = pytest.mark.parametrize("make", [
+    lambda node: PerSourcePolicer(node),
+    lambda node: ClassifierFirewall(node, classifier=None),
+], ids=["policer", "firewall"])
 
 
 class TestPerSourcePolicerUnit:
@@ -151,15 +160,49 @@ class TestPacketTrains:
         assert sink.total_packets == self.MEMBERS
         assert firewall.packets_dropped == self.MEMBERS
 
+    def test_firewall_features_a_train_as_its_members(self):
+        """The classifier was trained on one row per packet, so a train
+        must featurize like the same packets sent one by one."""
+
+        class Recording:
+            def __init__(self):
+                self.features = []
+
+            def predict(self, X):
+                self.features.append(X[0].tolist())
+                return np.array([0])
+
+        def window_features_of(send):
+            sim = Simulator()
+            star = StarInternet(sim)
+            sender, victim, sink = self._victim(sim, star)
+            classifier = Recording()
+            ClassifierFirewall(victim, classifier, window=1.0).install()
+            send(sim, star, sender, victim)
+            sim.run(until=1.5)
+            assert sink.total_packets == self.MEMBERS
+            return classifier.features
+
+        def one_train(sim, star, sender, victim):
+            self._send_train(sim, star, sender, victim)
+
+        def single_datagrams(sim, star, sender, victim):
+            for index in range(self.MEMBERS):
+                sim.schedule(
+                    index * 0.01, sender.udp.send_datagram,
+                    None, star.address_of(victim), 7, 9, self.PAYLOAD,
+                )
+
+        train = window_features_of(one_train)
+        assert train == window_features_of(single_datagrams)
+        assert train[0][0] == self.MEMBERS  # packet_rate over a 1 s window
+
 
 class TestFluidFloodIsRefused:
     """Under ``flood_flow="all"`` the sink is credited analytically and
     the flood never reaches a defense on the UDP handler."""
 
-    @pytest.mark.parametrize("make", [
-        lambda node: PerSourcePolicer(node),
-        lambda node: ClassifierFirewall(node, classifier=None),
-    ], ids=["policer", "firewall"])
+    @each_defense
     def test_install_raises(self, make):
         ddosim = DDoSim(SimulationConfig(n_devs=2, seed=1, flood_flow="all"))
         defense = make(ddosim.tserver.node)
@@ -168,7 +211,43 @@ class TestFluidFloodIsRefused:
 
     def test_hybrid_flood_still_installs(self):
         ddosim = DDoSim(SimulationConfig(n_devs=2, seed=1, flood_flow="auto"))
+        ddosim.tserver.start()
         PerSourcePolicer(ddosim.tserver.node).install()
+
+
+class TestSinkHandlerChain:
+    """A defense wraps the sink's UDP handler; the chain must survive a
+    sink stall, and there must be a handler to wrap at all."""
+
+    @each_defense
+    def test_install_before_the_sink_starts_raises(self, make):
+        ddosim = DDoSim(SimulationConfig(n_devs=2, seed=1)).build()
+        defense = make(ddosim.tserver.node)
+        with pytest.raises(ValueError, match="no UDP default handler"):
+            defense.install()
+
+    def test_policer_survives_a_sink_stall(self):
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="sink_stall", at=50.0, duration=5.0),
+        ))
+        config = SimulationConfig(n_devs=4, seed=6, attack_duration=20.0,
+                                  faults=plan)
+        undefended = DDoSim(config)
+        undefended.run()
+        defended = DDoSim(config).build()
+        # permissive: it sees and passes every datagram the sink gets
+        policer = PerSourcePolicer(defended.tserver.node, rate_bps=1e12,
+                                   burst_bytes=10**12)
+        defended.sim.schedule(0.01, policer.install)
+        defended.run()
+        sink = defended.tserver.sink
+        assert policer.accepted_packets == sink.total_packets > 0
+        assert policer.accepted_bytes == sink.total_bytes
+        assert policer.dropped_packets == 0
+        assert (sink.total_packets, sink.total_bytes) == (
+            undefended.tserver.sink.total_packets,
+            undefended.tserver.sink.total_bytes,
+        )
 
 
 class TestPolicerAgainstRealAttack:

@@ -3,9 +3,9 @@
 Two runs of one config must serialize to the same result JSON, the same
 metrics snapshot and the same fingerprint tree, across the packet path,
 both fluid-flow crossover modes, packet trains, fault plans and churn.
-A run under ``Observatory.full()`` — the instrumented loop that
-``--trace-out``, ``report`` and ``verify-determinism`` run — must give
-the result JSON of a default run.
+A run under ``Observatory.full()`` — the event tracer and span tracking
+that ``--trace-out``, ``report`` and ``verify-determinism`` turn on —
+must give the result JSON and the metrics snapshot of a default run.
 The double-run gate appends one fingerprint line per subsystem to the
 trace it compares, so a subsystem whose end state drifted is named even
 when every trace event agrees.
@@ -83,9 +83,10 @@ class TestInstrumentedLoop:
     def test_instrumented_run_matches_default_run(self, case):
         config = SimulationConfig(n_devs=4, seed=3, attack_duration=10.0,
                                   sim_duration=120.0, **_LOOP_CASES[case])
-        default = DDoSim(config).run()
-        instrumented = DDoSim(config, observatory=Observatory.full()).run()
-        assert result_to_json(instrumented) == result_to_json(default)
+        default = DDoSim(config)
+        instrumented = DDoSim(config, observatory=Observatory.full())
+        assert result_to_json(instrumented.run()) == result_to_json(default.run())
+        assert instrumented.obs.metrics.snapshot() == default.obs.metrics.snapshot()
 
 
 class TestFingerprintDeterminism:

@@ -11,11 +11,10 @@ from repro.obs import (
     EventTracer,
     MetricsRegistry,
     NULL_OBSERVATORY,
+    NULL_SPANS,
     NULL_TRACER,
     Observatory,
-    SchedulerProfiler,
 )
-from repro.obs.profiler import site_of
 
 
 class TestCounter:
@@ -150,54 +149,17 @@ class TestEventTracer:
         assert tracer.evicted["chatty"] == 7
         assert tracer.counts() == {"chatty": 10, "rare": 1}
 
-    def test_jsonl_export(self):
-        tracer = EventTracer()
-        tracer.emit("x", 1.5, detail="hi")
-        record = json.loads(tracer.to_jsonl().splitlines()[0])
-        assert record["event"] == "x"
-        assert record["t"] == 1.5
-        assert record["detail"] == "hi"
-
-    def test_jsonl_filters_by_name_since_and_limit(self):
-        tracer = EventTracer()
-        for i in range(5):
-            tracer.emit("chatty", float(i))
-        tracer.emit("rare", 2.5)
-        by_name = tracer.to_jsonl(names=("rare",)).splitlines()
-        assert [json.loads(l)["event"] for l in by_name] == ["rare"]
-        since = tracer.to_jsonl(since=3.0).splitlines()
-        assert [json.loads(l)["t"] for l in since] == [3.0, 4.0]
-        # limit keeps the *newest* N matching events
-        limited = tracer.to_jsonl(names=("chatty",), limit=2).splitlines()
-        assert [json.loads(l)["t"] for l in limited] == [3.0, 4.0]
-        # a limit beyond the match count keeps everything (regression:
-        # the slice must not wrap around to a negative index)
-        assert len(tracer.to_jsonl(names=("chatty",), limit=99).splitlines()) == 5
-        combined = tracer.to_jsonl(names=("chatty",), since=1.0, limit=99)
-        assert len(combined.splitlines()) == 4
-
-    def test_jsonl_leads_with_eviction_summary_when_truncated(self):
-        tracer = EventTracer(capacity_per_type=2)
-        for i in range(5):
-            tracer.emit("chatty", float(i))
-        lines = tracer.to_jsonl().splitlines()
-        summary = json.loads(lines[0])
-        assert summary["event"] == "trace.evictions"
-        assert summary["evicted"] == {"chatty": 3}
-        assert summary["total_evicted"] == 3
-        assert len(lines) == 3  # summary + the 2 retained events
-        # An untruncated trace carries no summary line.
-        clean = EventTracer()
-        clean.emit("x", 1.0)
-        assert json.loads(clean.to_jsonl().splitlines()[0])["event"] == "x"
-        assert clean.eviction_summary() is None
-
     def test_chrome_export_carries_eviction_counts(self):
         tracer = EventTracer(capacity_per_type=1)
         tracer.emit("chatty", 1.0)
         tracer.emit("chatty", 2.0)
         document = json.loads(tracer.to_chrome_json())
         assert document["otherData"]["evicted"] == {"chatty": 1}
+        assert document["otherData"]["total_evicted"] == 1
+        # An untruncated trace carries no eviction record.
+        clean = EventTracer()
+        clean.emit("x", 1.0)
+        assert "evicted" not in json.loads(clean.to_chrome_json())["otherData"]
 
     def test_chrome_trace_shape(self):
         tracer = EventTracer()
@@ -223,54 +185,27 @@ class TestEventTracer:
         assert json.loads(NULL_TRACER.to_chrome_json())["traceEvents"] == []
 
 
-class TestSchedulerProfiler:
-    def test_records_sites_and_heap_high_water(self):
-        profiler = SchedulerProfiler()
-        profiler.start_run()
-        profiler.record(self.test_records_sites_and_heap_high_water, 0.002)
-        profiler.record(self.test_records_sites_and_heap_high_water, 0.001)
-        profiler.observe_heap_depth(42)
-        site = site_of(self.test_records_sites_and_heap_high_water)
-        stats = {row["site"]: row for row in profiler.table()}
-        assert stats[site]["fires"] == 2
-        assert stats[site]["wall_seconds"] == pytest.approx(0.003)
-        assert profiler.heap_high_water == 42
-        assert "fires" in profiler.format_table()
-
-    def test_simulator_profiles_when_attached(self):
-        sim = Simulator()
-        obs = sim.attach_observatory(Observatory.full())
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert obs.profiler.events == 2
-        assert obs.profiler.heap_high_water >= 2
-        assert [e.name for e in obs.tracer.events()] == ["sched.fire"] * 2
-
+class TestObservatory:
     def test_bare_simulator_stays_null(self):
         sim = Simulator()
         assert sim.obs is NULL_OBSERVATORY
-        assert not sim.obs.instrumented
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim.obs.tracer.events() == []
 
-
-class TestObservatory:
     def test_default_is_metrics_only(self):
         obs = Observatory()
-        assert not obs.instrumented
         assert obs.tracer is NULL_TRACER
+        assert obs.spans is NULL_SPANS
 
     def test_full_is_instrumented(self):
-        obs = Observatory.full(trace_capacity=8)
-        assert obs.instrumented
-        assert obs.tracer.capacity_per_type == 8
-
-    def test_export_folds_in_scheduler_gauges(self):
-        obs = Observatory.full()
-        obs.profiler.start_run()
-        obs.profiler.record(len, 0.001)
-        snapshot = obs.export_metrics()
-        assert snapshot["gauges"]["sched_events_total"][""] == 1.0
-        assert "sched_heap_high_water" in snapshot["gauges"]
+        sim = Simulator()
+        obs = sim.attach_observatory(Observatory.full())
+        assert obs.tracer.enabled and obs.spans.enabled
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert [e.name for e in obs.tracer.events()] == ["sched.fire"] * 2
 
 
 @pytest.fixture(scope="module")
@@ -301,13 +236,13 @@ class TestEndToEnd:
 
     def test_metrics_cover_all_subsystems(self, instrumented_run):
         ddosim, _sampler, _result = instrumented_run
-        snapshot = ddosim.obs.export_metrics()
+        snapshot = ddosim.obs.metrics.snapshot()
         counters, gauges = snapshot["counters"], snapshot["gauges"]
         assert counters["queue_drops_total"][""] > 0
         assert counters["container_spawns_total"][""] >= 7  # devs + attacker
         assert counters["cnc_recruits_total"][""] == 6
         assert counters["link_tx_packets_total"][""] > 0
-        assert gauges["sched_events_total"][""] > 0
+        assert gauges["tserver_rx_bytes_total"][""] > 0
 
     def test_queue_drop_counter_matches_star_accounting(self, instrumented_run):
         ddosim, _sampler, result = instrumented_run

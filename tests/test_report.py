@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.analysis.features import capture_records_from_flows, windows_from_capture
+from repro.cli import main
 from repro.core import DDoSim, SimulationConfig
 from repro.obs import Observatory, flows_jsonl, render_run_report, render_sweep_report
 from repro.parallel import SweepTelemetry, run_map
@@ -62,6 +63,17 @@ class TestRunReport:
         _ddosim, result = reported_run
         html = render_run_report(result)
         assert_self_contained(html)
+
+    def test_report_command_writes_html_and_flows(self, tmp_path, capsys):
+        html_path, flows_path = tmp_path / "report.html", tmp_path / "flows.jsonl"
+        assert main(["report", "--devs", "4", "--duration", "10",
+                     "--out", str(html_path), "--flows", str(flows_path)]) == 0
+        html = html_path.read_text(encoding="utf-8")
+        assert_self_contained(html)
+        assert "attack.train" in html
+        flows = [json.loads(line) for line in flows_path.read_text().splitlines()]
+        assert flows and all(flow["packets"] > 0 for flow in flows)
+        assert f"({len(flows)} flows)" in capsys.readouterr().out
 
 
 class TestSweepReport:
@@ -188,7 +200,7 @@ class TestSweepTelemetry:
         assert "[figure2]" in output
         assert "abcdef123456" in output
 
-    def test_straggler_flagged_and_spanned(self):
+    def test_straggler_flagged_and_recorded(self):
         stream = io.StringIO()
         telemetry = SweepTelemetry(label="t", stream=stream,
                                    straggler_factor=3.0)
@@ -198,8 +210,9 @@ class TestSweepTelemetry:
         telemetry.point_done(3, 10.0)  # >> 3x median
         assert telemetry.stragglers == [3]
         assert "STRAGGLER" in stream.getvalue()
-        kinds = telemetry.spans.kinds()
-        assert kinds["sweep.point"] == 4
+        done = [note for note in telemetry.recorder.recent()
+                if note["kind"] == "sweep.point_done"]
+        assert [note["index"] for note in done] == [0, 1, 2, 3]
 
     def test_worker_death_dumps_flight_recorder(self):
         stream = io.StringIO()

@@ -1,9 +1,9 @@
-"""Event-queue semantics: entries, tombstones, the two run loops.
+"""Event-queue semantics: entries, tombstones, the run loop.
 
 The load-bearing property is at the bottom: random mixes of every
-scheduling call and cancellation fire in (time, scheduling order) on
-both run loops — the default fast loop and the instrumented loop an
-``Observatory.full()`` switches to.
+scheduling call and cancellation fire in (time, scheduling order), on a
+bare simulator and on one whose ``Observatory.full()`` tracer records a
+``sched.fire`` event per fired callback.
 """
 
 import random
@@ -185,19 +185,22 @@ def play(sim, program, initial, until):
 )
 def test_schedulers_dispatch_identically(program, initial, until):
     """Random mixes of every scheduling call and cancellation fire in
-    (time, scheduling order) on the fast loop and on the instrumented
-    loop, and both leave the same queue behind."""
+    (time, scheduling order) with tracing off and on, and both leave
+    the same queue behind.  With tracing on, the ``sched.fire`` events
+    are exactly the fired callbacks: none for a skipped tombstone."""
     # A low compaction threshold makes cancellations rebuild the heap
     # mid-run, under the running loop's alias of it.
     with mock.patch.object(simulator_module, "COMPACT_MIN_TOMBSTONES", 2):
-        fast = Simulator()
-        instrumented = Simulator()
-        instrumented.attach_observatory(Observatory.full())
-        assert instrumented.obs.instrumented and not fast.obs.instrumented
-        fired, expected, unfired = play(fast, program, initial, until)
-        instrumented_fired, _, _ = play(instrumented, program, initial, until)
+        bare = Simulator()
+        traced = Simulator()
+        tracer = traced.attach_observatory(Observatory.full()).tracer
+        fired, expected, unfired = play(bare, program, initial, until)
+        traced_fired, _, _ = play(traced, program, initial, until)
     assert fired == expected
-    assert instrumented_fired == expected
-    assert fast.events_executed == instrumented.events_executed == len(fired)
-    assert fast.pending_events == instrumented.pending_events == unfired
-    assert fast.queued_entries == instrumented.queued_entries
+    assert traced_fired == expected
+    assert [event.t for event in tracer.events("sched.fire")] == [
+        now for now, _tag in traced_fired
+    ]
+    assert bare.events_executed == traced.events_executed == len(fired)
+    assert bare.pending_events == traced.pending_events == unfired
+    assert bare.queued_entries == traced.queued_entries

@@ -126,6 +126,27 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["obs"],
+        ["lint", "--baseline", "findings.json"],
+        ["lint", "--write-baseline", "findings.json"],
+    ])
+    def test_retired_commands_and_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_trace_out_leaves_the_metrics_snapshot_unchanged(self, tmp_path):
+        trace, traced, plain = (tmp_path / name for name in (
+            "trace.json", "traced.metrics.json", "plain.metrics.json"))
+        run = ["run", "--devs", "4", "--duration", "10"]
+        assert main(run + ["--trace-out", str(trace),
+                           "--metrics-out", str(traced)]) == 0
+        assert main(run + ["--metrics-out", str(plain)]) == 0
+        assert traced.read_bytes() == plain.read_bytes()
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert any(event["name"] == "sched.fire" and event["ph"] == "i"
+                   for event in events)
+
     def test_unwritable_output_fails_before_the_run(self, tmp_path,
                                                     monkeypatch):
         def forbidden_run(self):
