@@ -8,6 +8,8 @@ are the point; end-to-end and per-layer timings of the paper workloads
 come from the ``perfbench/`` harness (declared in BENCHMARK.json).
 """
 
+import json
+
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
 from repro.netsim.sink import PacketSink
@@ -216,7 +218,7 @@ def test_fault_injector_zero_overhead_without_plan(benchmark):
         return (
             ddosim.sim.events_executed,
             result_to_json(result),
-            ddosim.obs.metrics.to_json(),
+            json.dumps(ddosim.obs.metrics.snapshot(), indent=2, sort_keys=True),
         )
 
     baseline = run(None)
@@ -329,28 +331,6 @@ def test_sweep_dispatch_static_sharding(benchmark):
     assert results == list(_SKEWED_GRID)
 
 
-def test_span_tracking_lifecycle(benchmark):
-    """Open, account and close 20k causal spans under one parent — the
-    shape of an attack train fan-out.  Span IDs are BLAKE2s digests, so
-    this tracks the hashing + dict bookkeeping cost per span."""
-    from repro.obs.spans import SpanTracker
-
-    def run():
-        tracker = SpanTracker(seed=1, max_spans=50_000)
-        parent = tracker.start("cnc.command", 0.0, entity="udpplain")
-        for index in range(20_000):
-            span = tracker.start("attack.train", float(index),
-                                 entity="bot", parent=parent)
-            tracker.deliver(span.span_id, 1, nbytes=512)
-            tracker.end(span, float(index) + 1.0)
-        tracker.end(parent, 20_000.0)
-        return len(tracker), len(tracker.tree())
-
-    count, roots = benchmark(run)
-    assert count == 20_001
-    assert roots == 1  # every train nested under the command
-
-
 def test_flight_recorder_note_throughput(benchmark):
     """100k landmarks through the always-on ring + one dump.  The ring
     (deque maxlen) must keep note() O(1) regardless of how far past
@@ -372,24 +352,33 @@ def test_flight_recorder_note_throughput(benchmark):
 
 def test_traced_e2e_run(benchmark):
     """The tiny end-to-end scenario under ``Observatory.full()`` —
-    tracer, spans and recorder all live.  Tracks the price of
-    full instrumentation on a real run, and asserts the causal tree
-    still reconstructs (recruitment chain + flood attribution)."""
+    tracer and recorder live, causal tree derived from the trace.
+    Tracks the price of full instrumentation on a real run, and asserts
+    the tree still reconstructs (recruitment chain + flood delivery)."""
+    from collections import Counter
+
     from repro.core.config import SimulationConfig
     from repro.core.framework import DDoSim
-    from repro.obs import Observatory
+    from repro.obs import Observatory, causal_tree
 
     config = SimulationConfig(
         n_devs=2, seed=1, attack_duration=10.0, recruit_timeout=30.0,
         sim_duration=120.0, protection_profiles=((),),
     )
 
+    def nodes(tree):
+        for node in tree:
+            yield node
+            yield from nodes(node["children"])
+
     def run():
         ddosim = DDoSim(config, observatory=Observatory.full())
         ddosim.run()
-        kinds = ddosim.obs.spans.kinds()
-        delivered = sum(span.packets_delivered
-                        for span in ddosim.obs.spans.spans())
+        tree = causal_tree(ddosim.obs.tracer,
+                           ddosim.tserver.sink.flow_records())
+        kinds = Counter(node["kind"] for node in nodes(tree))
+        delivered = sum(node.get("packets_delivered", 0)
+                        for node in nodes(tree))
         return kinds, delivered
 
     kinds, delivered = benchmark(run)

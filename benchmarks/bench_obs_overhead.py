@@ -3,7 +3,7 @@
 The contract (DESIGN.md "Observability") is that an *uninstrumented* run
 pays nearly nothing: a bare :class:`Simulator` defaults to
 ``NULL_OBSERVATORY``, and the default ``Observatory()`` (real registry,
-null tracer, null spans) runs the same loop with tracing off, which
+null tracer) runs the same loop with tracing off, which
 costs one local test per event.  ``Observatory.full()`` turns the
 tracer on, so the loop also emits a ``sched.fire`` event per callback;
 that cost we report but do not bound.
@@ -72,7 +72,7 @@ def test_off_mode_overhead_under_5_percent():
 
 
 def test_report_full_instrumentation_cost():
-    """Informational: events/sec with the tracer and spans on."""
+    """Informational: events/sec with the tracer on."""
     bare, full = _best_in_turns(None, Observatory.full)
     print(
         f"\nbare: {N_EVENTS / bare:,.0f} ev/s | "
@@ -82,36 +82,6 @@ def test_report_full_instrumentation_cost():
     # Sanity only — full instrumentation is allowed to cost, but a >20x
     # slowdown would mean per-event tracing regressed badly.
     assert full / bare < 20.0
-
-
-def test_tracing_off_guard_is_one_attribute_check():
-    """The spans-off hot path must be a single truthiness test: with the
-    default Observatory every call site sees ``NULL_SPANS.enabled`` ==
-    False and never builds a span.  Timed head-to-head against the
-    enabled path so the gap is visible in CI logs."""
-    from repro.obs.spans import NULL_SPANS, SpanTracker
-
-    n = 200_000
-
-    def loop(spans) -> float:
-        start = time.perf_counter()
-        for index in range(n):
-            if spans.enabled:
-                span = spans.start("exploit", float(index), entity="dev0")
-                spans.end(span, float(index) + 1.0)
-        return time.perf_counter() - start
-
-    off = min(loop(NULL_SPANS) for _ in range(REPEATS))
-    on = min(loop(SpanTracker(seed=1, max_spans=n)) for _ in range(REPEATS))
-    print(
-        f"\nspans off: {n / off:,.0f} checks/s | "
-        f"spans on: {n / on:,.0f} start+end/s | "
-        f"ratio: {on / off:.1f}x"
-    )
-    # The off branch does no allocation or hashing; anything within two
-    # orders of magnitude of a bare loop is fine, but it must be far
-    # cheaper than actually opening spans.
-    assert off < on
 
 
 def test_flight_recorder_note_cost_is_bounded():

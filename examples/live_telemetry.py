@@ -10,15 +10,24 @@ pre-attack phase, the flood, cooldown — as an ASCII timeline.
 
 It also runs fully instrumented (``Observatory.full()``) to show the
 rest of the observability layer: the typed event trace — when each
-device was recruited, when exploits landed — the causal span tree that
-chains exploit → recruit → flood train, and the always-on flight
-recorder.
+device was recruited, when exploits landed — the causal tree derived
+from it that chains exploit → recruit → flood train, and the always-on
+flight recorder.
 
 Run:  python examples/live_telemetry.py
 """
 
+from collections import Counter
+
 from repro.core import DDoSim, SimulationConfig, TelemetrySampler
-from repro.obs import Observatory
+from repro.obs import Observatory, causal_tree
+
+
+def walk(nodes):
+    """Every node of a causal forest, parents first."""
+    for node in nodes:
+        yield node
+        yield from walk(node["children"])
 
 
 def main() -> None:
@@ -72,13 +81,14 @@ def main() -> None:
         f"{name}={counts.get(name, 0)}" for name in interesting
     ))
 
-    # The causal span tree: why each bot flooded, not just that it did.
-    spans = ddosim.obs.spans
-    kinds = spans.kinds()
-    print("\ncausal spans: " + ", ".join(
+    # The causal tree, derived from the same event trace: why each bot
+    # flooded, not just that it did.
+    tree = causal_tree(tracer, ddosim.tserver.sink.flow_records())
+    kinds = Counter(node["kind"] for node in walk(tree))
+    print("\ncausal tree: " + ", ".join(
         f"{kind}={count}" for kind, count in sorted(kinds.items())
     ))
-    chain = next(root for root in spans.tree() if root["kind"] == "exploit")
+    chain = next(root for root in tree if root["kind"] == "exploit")
     print("one recruitment chain, exploit to bot:")
     node, depth = chain, 0
     while node is not None:
@@ -87,10 +97,11 @@ def main() -> None:
               f"status={node['status']}")
         children = node.get("children", [])
         node, depth = (children[0], depth + 1) if children else (None, depth)
-    trains = [s for s in spans.spans() if s.kind == "attack.train"]
-    delivered = sum(s.packets_delivered for s in trains)
-    print(f"flood attribution: {len(trains)} trains delivered "
-          f"{delivered} packets to the sink")
+    trains = [node for node in walk(tree) if node["kind"] == "attack.train"]
+    sent = sum(train.get("packets_sent", 0) for train in trains)
+    delivered = sum(train["packets_delivered"] for train in trains)
+    print(f"flood attribution: {len(trains)} trains sent {sent} packets, "
+          f"{delivered} reached the sink")
 
     # The flight recorder rides along in every run (even the default
     # Observatory); nothing died here, so the ring holds landmarks but

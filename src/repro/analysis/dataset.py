@@ -73,7 +73,7 @@ def capture_tserver_traffic(ddosim: DDoSim) -> List[CapturedPacket]:
 
     def install() -> None:
         sink_handler = udp.default_handler
-        if sink_handler is None:
+        if sink_handler is None or udp.default_paused:
             raise ValueError(
                 "TServer has no UDP default handler to capture at: its "
                 "sink is not running"

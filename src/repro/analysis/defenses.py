@@ -16,9 +16,11 @@ exploits".  Two defenses are provided, matching its insights:
 
 Both wrap the node's UDP default handler (the sink), so they see every
 datagram the sink would: a packet train is counted member by member and
-accepted or dropped whole.  Installing either raises when there is no
-handler to wrap yet (install after the sink starts: ``DDoSim.run()``
-starts it before the first event), and under a fully fluid flood
+accepted or dropped whole.  Installing either raises when no handler is
+running (install after the sink starts — ``DDoSim.run()`` starts it
+before the first event — and not during a ``sink_stall``, which pauses
+the handler chain without removing it, so an uninstall during the stall
+takes effect when the sink resumes), and under a fully fluid flood
 (``flood_flow="all"``), which is credited to the sink analytically and
 never reaches that handler.
 """
@@ -36,7 +38,8 @@ from repro.netsim.node import Node
 
 def _sink_handler(node: Node):
     """The UDP default handler a defense wraps; raises when the flood
-    cannot reach it or there is none yet."""
+    cannot reach it or there is none running (before the sink starts or
+    while it is stopped)."""
     flows = node.sim.flows
     if flows is not None and flows.mode == "all":
         raise ValueError(
@@ -44,7 +47,7 @@ def _sink_handler(node: Node):
             "bypasses a defense on the UDP handler"
         )
     handler = node.udp.default_handler
-    if handler is None:
+    if handler is None or node.udp.default_paused:
         raise ValueError(
             f"{node.name} has no UDP default handler to wrap: start its "
             "sink first"

@@ -61,30 +61,16 @@ def report_hijack(ctx, program: str, succeeded: bool, reason=None) -> None:
         labels=("program",),
     ).labels(program).inc()
     if obs.tracer.enabled:
-        fields = {"program": program, "container": ctx.container.name}
+        # ``address`` joins the outcome to the exploit.attempt that
+        # targeted it in the causal tree (repro.obs.report.causal_tree).
+        fields = {"program": program, "container": ctx.container.name,
+                  "address": str(ctx.netns.address())}
         if reason is not None:
             fields["reason"] = str(reason)
         obs.tracer.emit(
             "exploit.success" if succeeded else "exploit.crash",
             ctx.sim.now, **fields,
         )
-    spans = obs.spans
-    if spans.enabled:
-        address = str(ctx.netns.address())
-        # Parent under the attacker-/scanner-side exploit span when span
-        # tracking saw the payload leave; an orphan outcome (e.g. a unit
-        # test poking the daemon directly) becomes its own root.
-        outcome = spans.start(
-            "exploit.outcome", ctx.sim.now, entity=ctx.container.name,
-            parent=spans.lookup(("exploit", address)), program=program,
-        )
-        extra = {"reason": str(reason)} if reason is not None else {}
-        spans.end(outcome, ctx.sim.now,
-                  status="hijacked" if succeeded else "crashed", **extra)
-        if succeeded:
-            # The C&C recruit span for this address parents under the
-            # hijack that planted the bot.
-            spans.bind(("recruit", address), outcome)
 
 
 class BinaryImage:

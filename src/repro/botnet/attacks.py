@@ -83,12 +83,8 @@ def udp_plain_flood(
     stats: Optional[AttackStats] = None,
     src_port: Optional[int] = None,
     train: int = 1,
-    span: Optional[str] = None,
 ):
     """Generator: flood ``target`` with UDP junk for ``duration`` seconds.
-
-    ``span`` (a causal span ID) is stamped onto every emitted packet so
-    queues and the sink attribute drops/deliveries back to this train.
 
     Packets carry a virtual payload (size only, no bytes) — the flood's
     effect is entirely in its wire footprint.  The emission rate defaults
@@ -119,7 +115,7 @@ def udp_plain_flood(
         while sim.now < deadline:
             udp.send_datagram(
                 None, target, target_port, src_port=sport,
-                payload_size=payload_size, span=span,
+                payload_size=payload_size,
             )
             stats.packets_sent += 1
             stats.bytes_sent += wire_size  # wire bytes, comparable to the sink's
@@ -129,7 +125,7 @@ def udp_plain_flood(
         while sim.now < deadline:
             udp.send_train(
                 target, target_port, train, src_port=sport,
-                payload_size=payload_size, span=span,
+                payload_size=payload_size,
             )
             stats.packets_sent += train
             stats.bytes_sent += wire_size * train
@@ -147,7 +143,6 @@ def udp_plain_flow(
     rate_bps: Optional[float] = None,
     stats: Optional[AttackStats] = None,
     src_port: Optional[int] = None,
-    span: Optional[str] = None,
 ):
     """Generator: the fluid-flow udpplain datapath.
 
@@ -177,7 +172,6 @@ def udp_plain_flow(
     stats.started_at = sim.now
     flow = engine.start_flow(
         node, target, target_port, sport, rate, payload_size, wire_size,
-        span=span,
     )
     try:
         yield Timeout(sim, duration)

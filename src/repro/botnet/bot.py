@@ -178,15 +178,16 @@ def mirai_program(image: BinaryImage):
     return mirai
 
 
-def _span_scoped_flood(ctx, flood, spans, span, stats):
-    """Wrap a flood generator so its span is closed with emission totals
-    even when the flood is killed mid-attack (churn, STOP order)."""
+def _traced_flood(ctx, flood, stats, address: str, src_port):
+    """Wrap a flood generator so ``attack.stop`` carries its emission
+    totals even when the flood is killed mid-attack (churn, STOP order)."""
     try:
         result = yield from flood
     finally:
-        spans.end(span, ctx.sim.now,
-                  packets_sent=stats.packets_sent,
-                  bytes_sent=stats.bytes_sent)
+        ctx.sim.obs.tracer.emit(
+            "attack.stop", ctx.sim.now, address=address, src_port=src_port,
+            packets_sent=stats.packets_sent, bytes_sent=stats.bytes_sent,
+        )
     return result
 
 
@@ -212,52 +213,36 @@ def _dispatch(ctx, sock, line: str, attack_processes: List[SimProcess]) -> None:
             return
         stats = AttackStats()
         ctx.process.attack_stats.append(stats)
-        spans = ctx.sim.obs.spans
-        span = None
-        if spans.enabled:
-            address = str(ctx.netns.address())
-            # Parent: the C&C order that triggered this train; cross-link
-            # the recruit span so the tree ties flood back to infection.
-            parent = spans.lookup(("attack-order", method, target_text, port_text))
-            recruit = spans.lookup(("bot", address))
-            extra = {"recruit": recruit.span_id} if recruit is not None else {}
-            span = spans.start(
-                "attack.train", ctx.sim.now, entity=address, parent=parent,
-                method=method, target=target_text, **extra,
-            )
-        if method == "udpplain" and flow_mode != "off" and ctx.sim.flows is not None:
-            # Fluid datapath: the flood becomes one FluidFlow on the
-            # engine instead of per-packet/train events.
-            flood = udp_plain_flow(
-                ctx.netns.node,
-                _parse_address(target_text),
-                int(port_text),
-                float(duration_text),
-                payload_size=payload_size,
-                stats=stats,
-                span=span.span_id if span is not None else None,
-            )
-        elif method == "udpplain":
-            flood = vector(
-                ctx.netns.node,
-                _parse_address(target_text),
-                int(port_text),
-                float(duration_text),
-                payload_size=payload_size,
-                stats=stats,
-                train=train,
-                span=span.span_id if span is not None else None,
-            )
+        node = ctx.netns.node
+        target = _parse_address(target_text)
+        port = int(port_text)
+        duration = float(duration_text)
+        src_port = None
+        if method == "udpplain":
+            # Allocated here, not in the flood, so attack.start can
+            # name the train's (source address, source port).
+            src_port = node.udp.allocate_ephemeral_port()
+            if flow_mode != "off" and ctx.sim.flows is not None:
+                # Fluid datapath: the flood becomes one FluidFlow on the
+                # engine instead of per-packet/train events.
+                flood = udp_plain_flow(node, target, port, duration,
+                                       payload_size=payload_size,
+                                       stats=stats, src_port=src_port)
+            else:
+                flood = vector(node, target, port, duration,
+                               payload_size=payload_size, stats=stats,
+                               src_port=src_port, train=train)
         else:
-            flood = vector(
-                ctx.netns.node,
-                _parse_address(target_text),
-                int(port_text),
-                float(duration_text),
-                stats=stats,
+            flood = vector(node, target, port, duration, stats=stats)
+        tracer = ctx.sim.obs.tracer
+        if tracer.enabled:
+            address = str(ctx.netns.address(isinstance(target, Ipv6Address)))
+            tracer.emit(
+                "attack.start", ctx.sim.now, address=address,
+                src_port=src_port, method=method, target=target_text,
+                port=port,
             )
-        if span is not None:
-            flood = _span_scoped_flood(ctx, flood, spans, span, stats)
+            flood = _traced_flood(ctx, flood, stats, address, src_port)
         attack_processes.append(
             SimProcess(ctx.sim, flood, name=f"{ctx.process.name}-udpplain")
         )

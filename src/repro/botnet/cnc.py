@@ -167,19 +167,6 @@ class CncServer:
                         bot_id=record.bot_id, address=str(record.address),
                         architecture=architecture,
                     )
-                spans = obs.spans
-                if spans.enabled:
-                    address = str(record.address)
-                    # Parent: the successful hijack (or loader infection)
-                    # that planted this bot, when span tracking saw it.
-                    span = spans.start(
-                        "cnc.recruit", ctx.sim.now, entity=address,
-                        parent=spans.lookup(("recruit", address)),
-                        bot_id=record.bot_id, architecture=architecture,
-                    )
-                    spans.end(span, ctx.sim.now)
-                    # The bot's attack trains cross-link through this.
-                    spans.bind(("bot", address), span)
             if self.first_registration_time is None:
                 self.first_registration_time = ctx.sim.now
             self.last_registration_time = ctx.sim.now
@@ -332,16 +319,6 @@ class CncServer:
                     method=method, target=target, port=port,
                     duration=duration, bots=sent,
                 )
-            spans = obs.spans
-            if spans.enabled:
-                span = spans.start(
-                    "cnc.command", self._sim.now, entity=method,
-                    target=target, port=port, duration=duration, bots=sent,
-                )
-                spans.end(span, self._sim.now)
-                # Each commanded bot parents its attack.train under this
-                # order (matched by the exact broadcast arguments).
-                spans.bind(("attack-order", method, target, str(port)), span)
         order = AttackOrder(
             method=method,
             target=target,

@@ -110,11 +110,13 @@ def _attack_host(ctx, victim, infection_command, credentials, stats):
     first_connection = True
     index = 0
     reconnects_left = len(credentials) + 2
-    spans = ctx.sim.obs.spans
-    span = None
-    if spans.enabled:
-        span = spans.start("loader.attempt", ctx.sim.now, entity=str(victim),
-                           loader=ctx.container.name)
+    tracer = ctx.sim.obs.tracer
+    # In the trace, loader.attempt opens the attempt and loader.result
+    # closes it (once: ``attempt`` is cleared when it is closed).
+    attempt = None
+    if tracer.enabled:
+        attempt = {"victim": str(victim), "loader": ctx.container.name}
+        tracer.emit("loader.attempt", ctx.sim.now, **attempt)
     try:
         while index < len(credentials):
             if session is None or session.closed:
@@ -147,12 +149,10 @@ def _attack_host(ctx, victim, infection_command, credentials, stats):
                 sock.send_line(infection_command)
                 stats.infections_typed += 1
                 stats.compromised_addresses.append(victim)
-                if span is not None:
-                    spans.end(span, ctx.sim.now, status="infected",
-                              attempts=index + 1)
-                    # The C&C's recruit span parents under the infection.
-                    spans.bind(("recruit", str(victim)), span)
-                    span = None
+                if attempt is not None:
+                    tracer.emit("loader.result", ctx.sim.now, **attempt,
+                                status="infected", attempts=index + 1)
+                    attempt = None
                 # Wait for the shell to come back, then leave politely.
                 yield from session.read_until(b"$ ")
                 sock.send_line("exit")
@@ -164,7 +164,8 @@ def _attack_host(ctx, victim, infection_command, credentials, stats):
     except ConnectionError:
         return
     finally:
-        if span is not None:
-            spans.end(span, ctx.sim.now, status="failed")
+        if attempt is not None:
+            tracer.emit("loader.result", ctx.sim.now, **attempt,
+                        status="failed")
         if sock is not None:
             sock.close()

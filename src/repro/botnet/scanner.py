@@ -102,13 +102,11 @@ def probe_and_exploit(ctx, sock, victim, kit: ExploitKit):
     Returns True when the exploit was fired (not necessarily landed —
     the scanner cannot observe the victim's fate directly).
     """
-    spans = ctx.sim.obs.spans
-    probe_span = None
-    if spans.enabled:
-        probe_span = spans.start(
-            "scan.probe", ctx.sim.now, entity=str(victim), vector="dhcp6",
-            scanner=str(ctx.netns.address()),
-        )
+    tracer = ctx.sim.obs.tracer
+    if tracer.enabled:
+        scanner, target = str(ctx.netns.address()), str(victim)
+        tracer.emit("scan.probe", ctx.sim.now, victim=target,
+                    scanner=scanner, vector="dhcp6")
     probe = dhcp6.Dhcp6Message(dhcp6.MSG_INFORMATION_REQUEST, transaction_id=0x51)
     sock.sendto(probe.encode(), victim, dhcp6.SERVER_PORT)
     # Wait for a reply *from this victim*: a stale reply from an earlier
@@ -119,11 +117,11 @@ def probe_and_exploit(ctx, sock, victim, kit: ExploitKit):
     while True:
         remaining = deadline - ctx.sim.now
         if remaining <= 0:
-            spans.end(probe_span, ctx.sim.now, status="timeout")
+            _probe_result(ctx, victim, "timeout")
             return False  # nothing there (or already infected, daemon gone)
         response = yield from _receive_with_timeout(ctx, sock, remaining)
         if response is None:
-            spans.end(probe_span, ctx.sim.now, status="timeout")
+            _probe_result(ctx, victim, "timeout")
             return False
         candidate_payload, (source, _port) = response
         if source == victim:
@@ -132,22 +130,28 @@ def probe_and_exploit(ctx, sock, victim, kit: ExploitKit):
     leaked = _leak_from_reply(payload)
     slide = kit.slide_for_victim(leaked)
     if slide is None:
-        spans.end(probe_span, ctx.sim.now, status="no_slide")
+        _probe_result(ctx, victim, "no_slide")
         return False
-    spans.end(probe_span, ctx.sim.now, status="leaked")
+    _probe_result(ctx, victim, "leaked")
     exploit = dhcp6.make_relay_forw(
         kit.rop_payload(slide), link=victim, peer=victim
     )
     sock.sendto(exploit.encode(), victim, dhcp6.SERVER_PORT)
-    if probe_span is not None:
-        exploit_span = spans.start(
-            "exploit", ctx.sim.now, entity=str(victim), parent=probe_span,
-            vector="dhcp6", slide=slide, program=kit.target.program_key,
-        )
-        spans.end(exploit_span, ctx.sim.now, status="sent")
-        # The victim's hijack report parents its outcome under this.
-        spans.bind(("exploit", str(victim)), exploit_span)
+    if tracer.enabled:
+        # ``scanner`` parents this attempt under the probe that leaked
+        # the slide in the causal tree.
+        tracer.emit("exploit.attempt", ctx.sim.now, vector="dhcp6",
+                    target=target, slide=slide,
+                    program=kit.target.program_key, scanner=scanner)
     return True
+
+
+def _probe_result(ctx, victim, status: str) -> None:
+    """Close one probe in the trace: ``scan.result`` with its outcome."""
+    tracer = ctx.sim.obs.tracer
+    if tracer.enabled:
+        tracer.emit("scan.result", ctx.sim.now, victim=str(victim),
+                    scanner=str(ctx.netns.address()), status=status)
 
 
 def _receive_with_timeout(ctx, sock, timeout: float):

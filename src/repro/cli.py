@@ -10,9 +10,10 @@ Commands:
 * ``faultsweep``  — fault-plan intensity sweep (``repro.faults``).
 * ``recruitment`` — infection rate per CVE x protection profile (R1/R2).
 * ``epidemic``    — worm-spread propagation + SI fit (use case V-A2).
-* ``report``      — self-contained HTML report of one run (span
-  timeline, attack tree, sparklines, flight-recorder dumps) or of the
-  cached Figure 2 sweep; ``--flows`` adds a NetFlow-style JSONL export.
+* ``report``      — self-contained HTML report of one run (lifecycle
+  timeline, the attack tree derived from the event trace, sparklines,
+  flight-recorder dumps) or of the cached Figure 2 sweep, built on the
+  same single-run flags; ``--flows`` adds a NetFlow-style JSONL export.
 * ``cache``       — run-cache maintenance: ``stats``, ``clear``, ``gc``.
 * ``lint``        — determinism linter (``repro.simlint``): the SIM1xx
   rules; nonzero exit on violations (the CI gate).  ``--fix`` applies
@@ -28,8 +29,8 @@ the rows, and caches finished grid points under ``--cache-dir``
 points — ``--no-cache`` forces every point to simulate.  ``run``
 accepts ``--config PATH`` to load a JSON config
 and ``--faults PATH`` to arm a :mod:`repro.faults` plan against it.
-``run`` also accepts ``--trace-out`` (event tracer + span tracking,
-written as a Chrome ``trace_event`` file — load it at
+``run`` also accepts ``--trace-out`` (the event tracer, written as a
+Chrome ``trace_event`` file — load it at
 ``chrome://tracing`` or https://ui.perfetto.dev) and ``--metrics-out``
 (metrics-registry snapshot, byte-identical with or without
 ``--trace-out``).  Every output path is opened for writing before any
@@ -223,9 +224,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
         devs_grid = tuple(args.grid) if args.grid else (10, 50, 100, 150)
         telemetry = _telemetry_from_args(args, "figure2")
+        # The single-run flags (--flow, --train, --payload, ...) shape
+        # every point; the grid sets n_devs and the sweep sets churn.
         rows = run_figure2(devs_grid=devs_grid, churn_modes=FIGURE2_CHURN,
-                           seed=args.seed, jobs=args.jobs,
-                           cache=_cache_from_args(args), telemetry=telemetry)
+                           seed=args.seed,
+                           base_config=_config_from_args(args),
+                           jobs=args.jobs, cache=_cache_from_args(args),
+                           telemetry=telemetry)
         html = render_sweep_report(
             rows, title=f"Figure 2 sweep (seed {args.seed})",
             telemetry_summary=(telemetry.last_summary
@@ -239,13 +244,14 @@ def cmd_report(args: argparse.Namespace) -> int:
         ddosim = DDoSim(config, observatory=Observatory.full())
         result = ddosim.run()
         obs = ddosim.obs
+        records = ddosim.tserver.sink.flow_records()
         html = render_run_report(
-            result, spans=obs.spans, tracer=obs.tracer, recorder=obs.recorder,
+            result, tracer=obs.tracer, recorder=obs.recorder,
+            flow_records=records,
             title=f"DDoSim run (devs={config.n_devs}, seed={config.seed}, "
                   f"churn={config.churn})",
         )
         if flows_out:
-            records = ddosim.tserver.sink.flow_records()
             with open(flows_out, "w", encoding="utf-8") as handle:
                 handle.write(flows_jsonl(records))
             print(f"wrote {flows_out} ({len(records)} flows)")
@@ -457,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--json", help="write the full RunResult as JSON")
     run_parser.add_argument("--trace-out",
                             help="write a Chrome trace_event file "
-                                 "(enables the event tracer and spans)")
+                                 "(enables the event tracer)")
     run_parser.add_argument("--metrics-out",
                             help="write a metrics-registry snapshot as JSON")
     run_parser.set_defaults(func=cmd_run)

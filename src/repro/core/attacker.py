@@ -286,16 +286,8 @@ class AttackerComponent:
             tracer.emit(
                 "exploit.attempt", self.sim.now,
                 vector="dns", target=str(source), slide=slide,
+                program=self.connman_kit.target.program_key,
             )
-        spans = self.sim.obs.spans
-        if spans.enabled:
-            span = spans.start(
-                "exploit", self.sim.now, entity=str(source), vector="dns",
-                slide=slide, program=self.connman_kit.target.program_key,
-            )
-            spans.end(span, self.sim.now, status="sent")
-            # The victim's hijack report parents its outcome under this.
-            spans.bind(("exploit", str(source)), span)
 
     def _dhcp6_attack_program(self):
         """The DHCPv6 exploit script (Dnsmasq exploitation path).
@@ -353,16 +345,8 @@ class AttackerComponent:
                         tracer.emit(
                             "exploit.attempt", ctx.sim.now,
                             vector="dhcp6", target=str(source), slide=slide,
-                        )
-                    spans = ctx.sim.obs.spans
-                    if spans.enabled:
-                        span = spans.start(
-                            "exploit", ctx.sim.now, entity=str(source),
-                            vector="dhcp6", slide=slide,
                             program=component.dnsmasq_kit.target.program_key,
                         )
-                        spans.end(span, ctx.sim.now, status="sent")
-                        spans.bind(("exploit", str(source)), span)
                     exploited[source] = True
             except ProcessKilled:
                 raise

@@ -52,7 +52,8 @@ class DDoSim:
         print(result.attack.avg_received_kbps)
 
     Pass ``observatory=Observatory.full()`` to capture a structured event
-    trace and the causal span tree alongside the metrics registry every
+    trace — from which :func:`repro.obs.report.causal_tree` derives the
+    recruitment-and-attack tree — alongside the metrics registry every
     run carries (the registry is what :class:`TelemetrySampler` samples).
     """
 
@@ -68,9 +69,6 @@ class DDoSim:
         self.obs = self.sim.attach_observatory(
             observatory if observatory is not None else Observatory()
         )
-        # Span IDs derive from the run seed (never wall clock): reseed
-        # here so a reused tracker cannot leak state across runs.
-        self.obs.spans.reseed(config.seed)
         # The network fabric is pluggable: the default is the paper's
         # star "simulated Internet"; the hardware validation swaps in
         # repro.hardware.testbed.WifiTestbedInternet.

@@ -156,18 +156,11 @@ class PointToPointChannel(Channel):
         self._tx_packets.inc(count)
         self._tx_bytes.inc(packet.size * count)
         if self._tracer.enabled:
-            if packet.span is not None:
-                self._tracer.emit(
-                    "link.tx", self.sim.now,
-                    sender=sender.name, size=packet.size, count=count,
-                    delay=self.delay, span=packet.span,
-                )
-            else:
-                self._tracer.emit(
-                    "link.tx", self.sim.now,
-                    sender=sender.name, size=packet.size, count=count,
-                    delay=self.delay,
-                )
+            self._tracer.emit(
+                "link.tx", self.sim.now,
+                sender=sender.name, size=packet.size, count=count,
+                delay=self.delay,
+            )
         if count > 1:
             # Last-hop propagation delay, so the sink can reconstruct
             # each member's arrival with the exact op sequence the

@@ -18,7 +18,7 @@ at epochs; a 100-second flood that would schedule millions of packet
 events costs a few dozen epoch solves.
 
 Accounting is exact in expectation and fully deterministic: queues see
-integer drop counts (``queue_drops_total``, span drop attribution),
+integer drop counts (``queue_drops_total``),
 devices and channels see tx/carried counters, and the TServer
 :class:`~repro.netsim.sink.PacketSink` integrates flow byte-rates into
 the same per-second ``bytes_per_bin`` histogram the packet path fills.
@@ -110,7 +110,7 @@ class FluidFlow:
 
     __slots__ = (
         "flow_id", "node", "src_address", "src_port", "dst_address",
-        "dst_port", "rate_bps", "packet_size", "payload_size", "span",
+        "dst_port", "rate_bps", "packet_size", "payload_size",
         "started_at", "stopped_at", "active", "hops", "fluid_hops",
         "sink_node", "offered_bytes", "delivered_bytes", "dropped_bytes",
         "inject_rate_bps", "inject_device", "_injecting", "_inject_started",
@@ -119,8 +119,7 @@ class FluidFlow:
 
     def __init__(self, flow_id: int, node, src_address: Address, src_port: int,
                  dst_address: Address, dst_port: int, rate_bps: float,
-                 packet_size: int, payload_size: int, started_at: float,
-                 span: Optional[str] = None):
+                 packet_size: int, payload_size: int, started_at: float):
         self.flow_id = flow_id
         self.node = node
         self.src_address = src_address
@@ -130,7 +129,6 @@ class FluidFlow:
         self.rate_bps = float(rate_bps)
         self.packet_size = int(packet_size)
         self.payload_size = int(payload_size)
-        self.span = span
         self.started_at = started_at
         self.stopped_at: Optional[float] = None
         self.active = True
@@ -236,7 +234,7 @@ class FlowEngine:
     # ------------------------------------------------------------------
     def start_flow(self, node, destination: Address, dst_port: int,
                    src_port: int, rate_bps: float, payload_size: int,
-                   packet_size: int, span: Optional[str] = None) -> FluidFlow:
+                   packet_size: int) -> FluidFlow:
         """Open a flow from ``node`` toward ``destination`` and re-solve."""
         self.advance()
         hops, final_node = resolve_path(node, destination)
@@ -246,7 +244,6 @@ class FlowEngine:
         flow = FluidFlow(
             next(self._flow_ids), node, source, src_port, destination,
             dst_port, rate_bps, packet_size, payload_size, self.sim.now,
-            span=span,
         )
         flow.hops = hops
         if self.mode == "all":
@@ -467,8 +464,7 @@ class FlowEngine:
                 whole = int(slot.drop_rem)
                 if whole and queue is not None:
                     slot.drop_rem -= whole
-                    queue.fluid_drop(whole, size, "overflow_fluid",
-                                     span=flow.span)
+                    queue.fluid_drop(whole, size, "overflow_fluid")
             if out_flow > 0.0:
                 slot.tx_rem += out_flow / size
                 whole = int(slot.tx_rem)
@@ -596,8 +592,6 @@ class FlowEngine:
             return
         packet = PacketTrain(flow.payload_size, self.train,
                              created_at=self.sim.now)
-        if flow.span is not None:
-            packet.span = flow.span
         packet.add_header(UdpHeader(flow.src_port, flow.dst_port))
         packet.add_header(
             ip_header_for(flow.src_address, flow.dst_address, PROTO_UDP, 63)

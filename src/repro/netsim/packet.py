@@ -41,7 +41,7 @@ class Packet:
     """
 
     __slots__ = ("uid", "payload", "payload_size", "headers", "created_at",
-                 "span", "size")
+                 "size")
 
     #: how many wire packets this object represents (PacketTrain overrides)
     count: int = 1
@@ -71,10 +71,6 @@ class Packet:
             self.payload_size = payload_size or 0
         self.headers: List[Header] = []
         self.created_at = created_at
-        # Originating causal span ID (stamped by senders when span
-        # tracking is on); queues and sinks attribute drops/deliveries
-        # back through it.
-        self.span: Optional[str] = None
         self.size = self.payload_size
 
     # ------------------------------------------------------------------
@@ -116,7 +112,6 @@ class Packet:
         clone = Packet(self.payload, None if self.payload is not None else self.payload_size,
                        self.created_at)
         clone.headers = list(self.headers)
-        clone.span = self.span
         clone.size = self.size
         return clone
 
@@ -156,7 +151,6 @@ class PacketTrain(Packet):
     def copy(self) -> "PacketTrain":
         clone = PacketTrain(self.payload_size, self.count, self.created_at)
         clone.headers = list(self.headers)
-        clone.span = self.span
         clone.size = self.size
         clone.spacing = self.spacing
         clone.tx_start = self.tx_start

@@ -19,7 +19,6 @@ from typing import Deque, Optional
 
 from repro.netsim.packet import Packet
 from repro.obs.metrics import NULL_INSTRUMENT
-from repro.obs.spans import NULL_SPANS
 from repro.obs.trace import NULL_TRACER
 
 
@@ -44,7 +43,6 @@ class DropTailQueue:
         self.name = ""
         self._sim = None
         self._tracer = NULL_TRACER
-        self._spans = NULL_SPANS
         self._drop_counter = NULL_INSTRUMENT
 
     def bind_observatory(self, sim, name: str) -> None:
@@ -52,7 +50,6 @@ class DropTailQueue:
         self.name = name
         self._sim = sim
         self._tracer = sim.obs.tracer
-        self._spans = sim.obs.spans
         self._drop_counter = sim.obs.metrics.counter(
             "queue_drops_total", help="packets dropped by transmit queues"
         )
@@ -111,10 +108,6 @@ class DropTailQueue:
         self.dropped += lost
         if lost:
             self._drop_counter.inc(lost)
-            if self._spans.enabled:
-                for packet in self._queue:
-                    if packet.span is not None:
-                        self._spans.drop(packet.span, packet.count)
             if self._tracer.enabled and self._sim is not None:
                 self._tracer.emit(
                     "queue.drop", self._sim.now,
@@ -125,35 +118,25 @@ class DropTailQueue:
         self.bytes_queued = 0
         return lost
 
-    def fluid_drop(self, count: int, size: int, reason: str,
-                   span=None) -> None:
+    def fluid_drop(self, count: int, size: int, reason: str) -> None:
         """Account ``count`` analytically-dropped flow packets.
 
         The fluid datapath (:mod:`repro.netsim.flows`) computes drop
         fractions in closed form; this routes the quantized result into
-        the same counters, span attribution and trace stream the packet
-        path's :meth:`_record_drop` feeds, so ``queue_drops_total`` and
-        causal drop accounting stay exact in expectation.
+        the same counters and trace stream the packet path's
+        :meth:`_record_drop` feeds, so ``queue_drops_total`` stays exact
+        in expectation.
         """
         if count <= 0:
             return
         self.dropped += count
         self._drop_counter.inc(count)
-        if span is not None:
-            self._spans.drop(span, count)
         if self._tracer.enabled and self._sim is not None:
-            if span is not None:
-                self._tracer.emit(
-                    "queue.drop", self._sim.now,
-                    queue=self.name, reason=reason, size=size,
-                    lost=count, depth=self.packets_queued, span=span,
-                )
-            else:
-                self._tracer.emit(
-                    "queue.drop", self._sim.now,
-                    queue=self.name, reason=reason, size=size,
-                    lost=count, depth=self.packets_queued,
-                )
+            self._tracer.emit(
+                "queue.drop", self._sim.now,
+                queue=self.name, reason=reason, size=size,
+                lost=count, depth=self.packets_queued,
+            )
 
     def fingerprint_state(self) -> dict:
         """Deterministic queue contents + counters for fingerprinting.
@@ -173,22 +156,12 @@ class DropTailQueue:
     def _record_drop(self, packet: Packet, reason: str, count: int = 1) -> None:
         self.dropped += count
         self._drop_counter.inc(count)
-        span = packet.span
-        if span is not None:
-            self._spans.drop(span, count)
         if self._tracer.enabled and self._sim is not None:
-            if span is not None:
-                self._tracer.emit(
-                    "queue.drop", self._sim.now,
-                    queue=self.name, reason=reason, size=packet.size,
-                    lost=count, depth=self.packets_queued, span=span,
-                )
-            else:
-                self._tracer.emit(
-                    "queue.drop", self._sim.now,
-                    queue=self.name, reason=reason, size=packet.size,
-                    lost=count, depth=self.packets_queued,
-                )
+            self._tracer.emit(
+                "queue.drop", self._sim.now,
+                queue=self.name, reason=reason, size=packet.size,
+                lost=count, depth=self.packets_queued,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -103,7 +103,7 @@ class Simulator:
         self._live = 0        # scheduled, not yet fired or cancelled
         self._tombstones = 0  # cancelled but still queued
         self.events_executed: int = 0
-        #: observability hub (registry + tracer + spans + recorder); the
+        #: observability hub (registry + tracer + recorder); the
         #: default null observatory has a null tracer, so run() emits no
         #: ``sched.fire`` events.
         self.obs = NULL_OBSERVATORY

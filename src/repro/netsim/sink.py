@@ -17,7 +17,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.netsim.application import Application
 from repro.netsim.node import Node
-from repro.obs.spans import NULL_SPANS
 
 
 class PacketSink(Application):
@@ -38,17 +37,17 @@ class PacketSink(Application):
         self.flows: Dict[Tuple[object, int, int], dict] = {}
         self.first_packet_time: Optional[float] = None
         self.last_packet_time: Optional[float] = None
-        self._spans = NULL_SPANS
         #: per-FluidFlow quantization state: [byte_remainder, packet_remainder]
         self._fluid: Dict[object, list] = {}
-        #: the UDP default handler at the last stop: the sink's own, or a
-        #: defense/capture chain wrapping it, which a restart puts back
-        self._handler_at_stop = None
 
     def _do_start(self) -> None:
-        self._spans = self.sim.obs.spans
-        handler, self._handler_at_stop = self._handler_at_stop, None
-        self.node.udp.set_default_handler(handler or self._on_datagram)
+        udp = self.node.udp
+        if udp.default_handler is None:
+            udp.set_default_handler(self._on_datagram)
+        # A stop only paused the handler chain (the sink's own handler or
+        # a defense/capture wrapping it): resume whatever chain is set now,
+        # so a defense uninstalled during a stall stays uninstalled.
+        udp.pause_default_handler(False)
         # Fluid datapath endpoint: analytic flow arrivals are credited
         # here; sink availability is a rate-change epoch for the solver.
         self.node.fluid_sink = self
@@ -57,8 +56,7 @@ class PacketSink(Application):
             flows.on_link_change()
 
     def _do_stop(self) -> None:
-        self._handler_at_stop = self.node.udp.default_handler
-        self.node.udp.set_default_handler(None)
+        self.node.udp.pause_default_handler(True)
         self.node.fluid_sink = None
         flows = self.sim.flows
         if flows is not None:
@@ -118,15 +116,11 @@ class PacketSink(Application):
                 "bytes": size * count,
                 "t_first": first_arrival,
                 "t_last": now,
-                "span": packet.span,
             }
         else:
             flow["packets"] += count
             flow["bytes"] += size * count
             flow["t_last"] = now
-        span = packet.span
-        if span is not None:
-            self._spans.deliver(span, count, size * count)
 
     # ------------------------------------------------------------------
     # Fluid datapath
@@ -202,14 +196,11 @@ class PacketSink(Application):
                 "bytes": credited,
                 "t_first": start,
                 "t_last": end,
-                "span": flow.span,
             }
         else:
             record["packets"] += packets
             record["bytes"] += credited
             record["t_last"] = end
-        if flow.span is not None:
-            self._spans.deliver(flow.span, packets, credited)
         return credited
 
     # ------------------------------------------------------------------
@@ -241,11 +232,12 @@ class PacketSink(Application):
     def flow_records(self) -> list:
         """NetFlow-style flow records, deterministically ordered.
 
-        One record per (src, src_port, dst_port) with packet/byte totals,
-        first/last arrival times, and the originating causal span ID
-        (None when span tracking was off) — the schema
+        One record per (src, src_port, dst_port) with packet/byte totals
+        and first/last arrival times — the schema
         :func:`repro.analysis.features.capture_records_from_flows`
-        expands back into per-packet form for the feature extractor.
+        expands back into per-packet form for the feature extractor, and
+        the source of each attack train's delivered totals in
+        :func:`repro.obs.report.causal_tree`.
         """
         records = []
         ordered = sorted(
@@ -263,7 +255,6 @@ class PacketSink(Application):
                 "bytes": flow["bytes"],
                 "t_first": flow["t_first"],
                 "t_last": flow["t_last"],
-                "span": flow["span"],
             })
         return records
 

@@ -32,6 +32,12 @@ class Udp:
         self.ip = ip
         self.bindings: Dict[int, UdpHandler] = {}
         self.default_handler: Optional[UdpHandler] = None
+        #: True while delivery to the default handler is paused (a
+        #: stalled sink); the handler itself stays installed
+        self.default_paused = False
+        #: where receive() sends datagrams to unbound ports: the default
+        #: handler, or None while it is paused
+        self._deliver_default: Optional[UdpHandler] = None
         self._next_ephemeral = EPHEMERAL_PORT_START
         self.rx_datagrams = 0
         self.rx_unreachable = 0
@@ -61,6 +67,16 @@ class Udp:
     def set_default_handler(self, handler: Optional[UdpHandler]) -> None:
         """Install a promiscuous handler for datagrams to unbound ports."""
         self.default_handler = handler
+        if not self.default_paused:
+            self._deliver_default = handler
+
+    def pause_default_handler(self, paused: bool) -> None:
+        """Hold (``True``) or resume delivery to the default handler
+        without removing it.  While paused, datagrams to unbound ports
+        count as unreachable; a handler set meanwhile (a defense
+        wrapping the sink, or unwrapping itself) is the one resumed."""
+        self.default_paused = paused
+        self._deliver_default = None if paused else self.default_handler
 
     # ------------------------------------------------------------------
     # Datapath
@@ -86,17 +102,9 @@ class Udp:
         src_port: int = 0,
         payload_size: Optional[int] = None,
         source: Optional[Address] = None,
-        span: Optional[str] = None,
     ) -> bool:
-        """Convenience wrapper building the packet in one call.
-
-        ``span`` stamps the causal span ID onto the packet so queues and
-        sinks can attribute drops/deliveries back to the originating
-        attack train (no-op downstream when span tracking is off).
-        """
+        """Convenience wrapper building the packet in one call."""
         packet = Packet(payload, payload_size, created_at=self.ip.sim.now)
-        if span is not None:
-            packet.span = span
         return self.send(packet, destination, dst_port, src_port, source)
 
     def send_train(
@@ -107,13 +115,10 @@ class Udp:
         src_port: int = 0,
         payload_size: int = 0,
         source: Optional[Address] = None,
-        span: Optional[str] = None,
     ) -> bool:
         """Send ``count`` identical junk datagrams as one
         :class:`~repro.netsim.packet.PacketTrain` (the flood fast path)."""
         packet = PacketTrain(payload_size, count, created_at=self.ip.sim.now)
-        if span is not None:
-            packet.span = span
         return self.send(packet, destination, dst_port, src_port, source)
 
     def receive(self, packet: Packet, ip_header) -> None:
@@ -121,7 +126,7 @@ class Udp:
         self.rx_datagrams += packet.count
         handler = self.bindings.get(header.dst_port)
         if handler is None:
-            handler = self.default_handler
+            handler = self._deliver_default
         if handler is None:
             self.rx_unreachable += packet.count
             return

@@ -1,11 +1,11 @@
-"""The metrics registry: counters, gauges, histograms, labeled families.
+"""The metrics registry: counters, gauges, labeled families.
 
 Prometheus-shaped but in-process and virtual-time friendly: components
 grab their instruments once (``registry.counter("queue_drops_total")``)
-and bump them on the hot path; exporters snapshot the whole registry to
-dict/JSON/CSV at any point of a run.  A *delta* between two snapshots
-gives per-window rates, which :mod:`repro.core.telemetry` uses for its
-sampled series.
+and bump them on the hot path; :meth:`MetricsRegistry.snapshot` reads
+the whole registry as a dict at any point of a run (``run
+--metrics-out`` writes it as JSON).  A *delta* between two snapshots
+gives per-window changes, which the flight recorder's dumps carry.
 
 Instrumented code must stay near-zero-cost when nobody is measuring:
 :data:`NULL_REGISTRY` hands out a shared :class:`NullInstrument` whose
@@ -15,16 +15,7 @@ unconditionally and never branch on "is observability on?".
 
 from __future__ import annotations
 
-import bisect
-import json
 from typing import Callable, Dict, Iterable, Optional, Tuple
-
-#: default histogram buckets (seconds-ish scale: covers sub-ms callback
-#: wall times through multi-second transfer durations)
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 LabelValues = Tuple[str, ...]
 
@@ -88,39 +79,6 @@ class Gauge:
         return self._value
 
 
-class Histogram:
-    """Fixed-bucket histogram (cumulative counts, Prometheus-style)."""
-
-    __slots__ = ("name", "label_key", "buckets", "bucket_counts", "count", "sum")
-
-    def __init__(self, name: str, label_key: str = "",
-                 buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
-        self.name = name
-        self.label_key = label_key
-        self.buckets = tuple(sorted(buckets))
-        self.bucket_counts = [0] * (len(self.buckets) + 1)  # +1 = +Inf
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.sum += value
-
-    def bucket_dict(self) -> Dict[str, int]:
-        """Cumulative ``{le: count}`` mapping (ending with "+Inf")."""
-        out: Dict[str, int] = {}
-        cumulative = 0
-        for bound, n in zip(self.buckets, self.bucket_counts):
-            cumulative += n
-            out[f"{bound:g}"] = cumulative
-        out["+Inf"] = self.count
-        return out
-
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-
 class NullInstrument:
     """Shared no-op stand-in for every instrument kind.
 
@@ -142,9 +100,6 @@ class NullInstrument:
     def set_function(self, fn) -> None:
         pass
 
-    def observe(self, value: float) -> None:
-        pass
-
     def labels(self, *values: str):
         return self
 
@@ -158,23 +113,21 @@ NULL_INSTRUMENT = NullInstrument()
 _KIND_FACTORIES = {
     "counter": Counter,
     "gauge": Gauge,
-    "histogram": Histogram,
 }
 
 
 class MetricFamily:
     """All children of one metric name, keyed by label values."""
 
-    __slots__ = ("name", "kind", "help", "label_names", "children", "_kwargs")
+    __slots__ = ("name", "kind", "help", "label_names", "children")
 
     def __init__(self, name: str, kind: str, help: str = "",
-                 label_names: Tuple[str, ...] = (), **kwargs):
+                 label_names: Tuple[str, ...] = ()):
         self.name = name
         self.kind = kind
         self.help = help
         self.label_names = tuple(label_names)
         self.children: Dict[str, object] = {}
-        self._kwargs = kwargs
 
     def labels(self, *values: str):
         """The child instrument for one label-value combination."""
@@ -186,7 +139,7 @@ class MetricFamily:
         key = _label_key(self.label_names, tuple(str(v) for v in values))
         child = self.children.get(key)
         if child is None:
-            child = _KIND_FACTORIES[self.kind](self.name, key, **self._kwargs)
+            child = _KIND_FACTORIES[self.kind](self.name, key)
             self.children[key] = child
         return child
 
@@ -201,7 +154,7 @@ class MetricsRegistry:
     # Registration (idempotent per name; kind conflicts are errors)
     # ------------------------------------------------------------------
     def _family(self, name: str, kind: str, help: str,
-                label_names: Iterable[str], **kwargs) -> MetricFamily:
+                label_names: Iterable[str]) -> MetricFamily:
         family = self.families.get(name)
         if family is not None:
             if family.kind != kind:
@@ -210,7 +163,7 @@ class MetricsRegistry:
                     f"cannot re-register as {kind}"
                 )
             return family
-        family = MetricFamily(name, kind, help, tuple(label_names), **kwargs)
+        family = MetricFamily(name, kind, help, tuple(label_names))
         self.families[name] = family
         return family
 
@@ -231,11 +184,6 @@ class MetricsRegistry:
             gauge.set_function(fn)
         return gauge
 
-    def histogram(self, name: str, help: str = "", labels: Iterable[str] = (),
-                  buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
-        family = self._family(name, "histogram", help, labels, buckets=buckets)
-        return family if family.label_names else family.labels()
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -247,38 +195,25 @@ class MetricsRegistry:
         child = family.children.get(label_key)
         if child is None:
             return 0.0
-        return child.value if not isinstance(child, Histogram) else child.count
+        return child.value
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict]:
-        """Everything, as ``{kind: {name: {label_key: value-ish}}}``."""
+        """Everything, as ``{kind: {name: {label_key: value}}}``.  The
+        ``"histograms"`` kind stays, always empty, so snapshot files keep
+        their shape."""
         out: Dict[str, Dict] = {"counters": {}, "gauges": {}, "histograms": {}}
         for name, family in sorted(self.families.items()):
-            if family.kind == "counter":
-                out["counters"][name] = {
-                    key: child.value for key, child in sorted(family.children.items())
-                }
-            elif family.kind == "gauge":
-                out["gauges"][name] = {
-                    key: child.value for key, child in sorted(family.children.items())
-                }
-            else:
-                out["histograms"][name] = {
-                    key: {
-                        "count": child.count,
-                        "sum": child.sum,
-                        "mean": child.mean(),
-                        "buckets": child.bucket_dict(),
-                    }
-                    for key, child in sorted(family.children.items())
-                }
+            out[family.kind + "s"][name] = {
+                key: child.value for key, child in sorted(family.children.items())
+            }
         return out
 
     @staticmethod
     def delta(before: Dict[str, Dict], after: Dict[str, Dict]) -> Dict[str, Dict]:
-        """Counter/histogram-count differences between two snapshots.
+        """Counter differences between two snapshots.
 
         Gauges are point-in-time and carry over from ``after`` unchanged.
         """
@@ -289,33 +224,7 @@ class MetricsRegistry:
                 key: value - prior.get(key, 0.0) for key, value in children.items()
             }
         out["gauges"] = dict(after.get("gauges", {}))
-        for name, children in after.get("histograms", {}).items():
-            prior = before.get("histograms", {}).get(name, {})
-            out["histograms"][name] = {
-                key: {
-                    "count": stats["count"] - prior.get(key, {}).get("count", 0),
-                    "sum": stats["sum"] - prior.get(key, {}).get("sum", 0.0),
-                }
-                for key, stats in children.items()
-            }
         return out
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    def to_csv(self) -> str:
-        """Flat rows: ``kind,name,labels,field,value`` (one per scalar)."""
-        lines = ["kind,name,labels,field,value"]
-        snapshot = self.snapshot()
-        for kind in ("counters", "gauges"):
-            for name, children in snapshot[kind].items():
-                for key, value in children.items():
-                    lines.append(f"{kind[:-1]},{name},{key},value,{value:g}")
-        for name, children in snapshot["histograms"].items():
-            for key, stats in children.items():
-                lines.append(f"histogram,{name},{key},count,{stats['count']}")
-                lines.append(f"histogram,{name},{key},sum,{stats['sum']:g}")
-        return "\n".join(lines) + "\n"
 
 
 class NullRegistry:
@@ -326,10 +235,6 @@ class NullRegistry:
 
     def gauge(self, name: str, help: str = "", labels: Iterable[str] = (),
               fn=None):
-        return NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "", labels: Iterable[str] = (),
-                  buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
         return NULL_INSTRUMENT
 
     def value(self, name: str, label_key: str = "") -> float:

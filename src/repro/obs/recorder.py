@@ -7,8 +7,8 @@ to leave on in *every* run (the default :class:`Observatory` carries
 one), so a post-mortem never starts from a blank trace.  It keeps:
 
 * a fixed-capacity ring of **notes** — low-rate landmark records only
-  (container lifecycle, fault injections, ended spans), never per-packet
-  events, so cost is bounded by construction;
+  (container lifecycle, fault injections, sweep points), never
+  per-packet events, so cost is bounded by construction;
 * on each **dump** a snapshot of the metrics registry *delta* since the
   previous dump, so a crash dump says what changed, not just what is.
 
@@ -26,7 +26,7 @@ from collections import deque
 from typing import List, Optional
 
 #: default ring capacity — enough to hold the run-up to a failure
-#: (container churn + recent spans) at a few hundred bytes per note
+#: (container churn + recent faults) at a few hundred bytes per note
 DEFAULT_CAPACITY = 256
 
 

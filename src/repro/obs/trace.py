@@ -4,8 +4,11 @@ The paper's pitch is real-time analysis "at any stage" of a botnet DDoS
 attack; the tracer is the substrate for that.  Instrumented layers emit
 typed events — ``sched.fire``, ``link.tx``, ``queue.drop``,
 ``tcp.retransmit``, ``container.spawn``, ``cnc.recruit``,
-``exploit.attempt``/``exploit.success``, ``churn.down``/``churn.up`` —
-each stamped with the virtual clock *and* the wall clock.
+``exploit.attempt``/``exploit.success``, ``attack.start``/``attack.stop``,
+``churn.down``/``churn.up`` — each stamped with the virtual clock and a
+per-tracer emission sequence number.  The event stream is the one record
+of a run's lifecycle: :func:`repro.obs.report.causal_tree` rebuilds the
+recruitment-and-attack tree from it.
 
 Buffering is a ring **per event type**: a flood run emits millions of
 ``sched.fire``/``link.tx`` events, and a single shared ring would evict
@@ -24,7 +27,6 @@ because the default tracer everywhere is the shared :data:`NULL_TRACER`.
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
@@ -41,14 +43,15 @@ def site_of(callback) -> str:
 
 
 class TraceEvent:
-    """One typed event: name, virtual time, wall time, free-form fields."""
+    """One typed event: name, virtual time, emission sequence number
+    (``seq``, unique per tracer), free-form fields."""
 
-    __slots__ = ("name", "t", "wall", "fields")
+    __slots__ = ("name", "t", "seq", "fields")
 
-    def __init__(self, name: str, t: float, wall: float, fields: dict):
+    def __init__(self, name: str, t: float, seq: int, fields: dict):
         self.name = name
         self.t = t
-        self.wall = wall
+        self.seq = seq
         self.fields = fields
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -67,9 +70,7 @@ class EventTracer:
         self._rings: Dict[str, Deque[TraceEvent]] = {}
         self.evicted: Dict[str, int] = {}
         self.emitted: Dict[str, int] = {}
-        # Intentional wall-clock read: the tracer *records* wall time
-        # alongside virtual time; it never feeds the simulation.
-        self._wall_start = time.perf_counter()  # simlint: disable=SIM101
+        self._seq = 0
 
     # ------------------------------------------------------------------
     # Emission (hot path when enabled)
@@ -85,20 +86,21 @@ class EventTracer:
         if len(ring) == self.capacity_per_type:
             self.evicted[name] += 1
         self.emitted[name] += 1
-        wall = time.perf_counter() - self._wall_start  # simlint: disable=SIM101
-        ring.append(TraceEvent(name, t, wall, fields))
+        self._seq += 1
+        ring.append(TraceEvent(name, t, self._seq, fields))
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def events(self, name: Optional[str] = None) -> List[TraceEvent]:
-        """Buffered events (one type, or all types merged by time)."""
-        if name is not None:
-            return list(self._rings.get(name, ()))
+    def events(self, *names: str) -> List[TraceEvent]:
+        """Buffered events of the named types (every type when none is
+        named), merged by virtual time, then by emission order."""
+        if len(names) == 1:
+            return list(self._rings.get(names[0], ()))
         merged: List[TraceEvent] = []
-        for ring in self._rings.values():
-            merged.extend(ring)
-        merged.sort(key=lambda event: (event.t, event.wall))
+        for name in names or list(self._rings):
+            merged.extend(self._rings.get(name, ()))
+        merged.sort(key=lambda event: (event.t, event.seq))
         return merged
 
     def event_types(self) -> List[str]:
@@ -174,7 +176,7 @@ class NullTracer:
     def emit(self, name: str, t: float, **fields) -> None:
         pass
 
-    def events(self, name: Optional[str] = None) -> List[TraceEvent]:
+    def events(self, *names: str) -> List[TraceEvent]:
         return []
 
     def event_types(self) -> List[str]:

@@ -101,10 +101,10 @@ class DeterminismReport:
 def canonical_trace_lines(tracer) -> List[str]:
     """Every buffered trace event as one canonical JSON line.
 
-    The wall-clock stamp is stripped (it is *supposed* to differ between
-    runs) and events merge across rings in (virtual time, name, fields)
-    order — a total order built only from deterministic inputs, so two
-    byte-identical runs produce byte-identical line sequences.
+    Each line holds the event's name, virtual time, position in its
+    type's ring and fields, and the lines are sorted — a total order
+    built only from deterministic inputs, so two byte-identical runs
+    produce byte-identical line sequences.
     """
     lines = []
     for name in tracer.event_types():
@@ -256,9 +256,6 @@ def capture_fingerprint(ddosim) -> Dict[str, str]:
         ]
     )
     fingerprint["metrics"] = state_digest(ddosim.obs.metrics.snapshot())
-    spans = ddosim.obs.spans
-    if getattr(spans, "enabled", False):
-        fingerprint["spans"] = state_digest(spans.canonical_json())
     return fingerprint
 
 

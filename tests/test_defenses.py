@@ -249,6 +249,29 @@ class TestSinkHandlerChain:
             undefended.tserver.sink.total_bytes,
         )
 
+    def test_policer_uninstalled_during_a_sink_stall(self):
+        """Uninstalling mid-stall must neither wake the stalled sink nor
+        leave the policer in front of it after the restart."""
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="sink_stall", at=50.0, duration=5.0),
+        ))
+        config = SimulationConfig(n_devs=4, seed=6, attack_duration=20.0,
+                                  faults=plan)
+        undefended = DDoSim(config)
+        undefended.run()
+        defended = DDoSim(config).build()
+        policer = PerSourcePolicer(defended.tserver.node, rate_bps=1e12,
+                                   burst_bytes=10**12)
+        defended.sim.schedule(0.01, policer.install)
+        defended.sim.schedule(52.0, policer.uninstall)
+        defended.run()
+        sink = defended.tserver.sink
+        assert (sink.total_packets, sink.total_bytes) == (
+            undefended.tserver.sink.total_packets,
+            undefended.tserver.sink.total_bytes,
+        )
+        assert defended.tserver.node.udp.default_handler == sink._on_datagram
+
 
 class TestPolicerAgainstRealAttack:
     def test_policer_collapses_accepted_attack_volume(self):

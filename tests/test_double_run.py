@@ -3,9 +3,10 @@
 Two runs of one config must serialize to the same result JSON, the same
 metrics snapshot and the same fingerprint tree, across the packet path,
 both fluid-flow crossover modes, packet trains, fault plans and churn.
-A run under ``Observatory.full()`` — the event tracer and span tracking
-that ``--trace-out``, ``report`` and ``verify-determinism`` turn on —
-must give the result JSON and the metrics snapshot of a default run.
+A run under ``Observatory.full()`` — the event tracer that
+``--trace-out``, ``report`` and ``verify-determinism`` turn on, and from
+which the causal tree is derived — must give the result JSON and the
+metrics snapshot of a default run.
 The double-run gate appends one fingerprint line per subsystem to the
 trace it compares, so a subsystem whose end state drifted is named even
 when every trace event agrees.

@@ -1,7 +1,7 @@
 """Fluid-flow datapath (repro.netsim.flows): analytic flood traffic.
 
 The contract: a steady flood represented as a FluidFlow must account
-bytes, packets, drops and spans *exactly in expectation* against the
+bytes, packets and drops *exactly in expectation* against the
 packet path, re-solving only at rate-change epochs — while ``--flow
 off`` keeps the packet datapath bit-identical to the seed.
 """
@@ -248,7 +248,9 @@ class TestCrossoverModes:
         assert result_to_json(a_result) == result_to_json(b_result)
 
     def test_flow_mode_span_attribution_survives(self):
-        from repro.obs import Observatory
+        """The fluid flood's trains in the causal tree read their
+        delivered totals from the sink's analytically credited flows."""
+        from repro.obs import Observatory, causal_tree
 
         config = SimulationConfig(
             n_devs=2, seed=1, attack_duration=10.0, recruit_timeout=30.0,
@@ -257,10 +259,15 @@ class TestCrossoverModes:
         )
         ddosim = DDoSim(config, observatory=Observatory.full())
         ddosim.run()
-        spans = ddosim.obs.spans
-        assert spans.kinds()["attack.train"] == 2
-        delivered = sum(span.packets_delivered for span in spans.spans())
-        assert delivered > 0
+        sink = ddosim.tserver.sink
+        command = next(
+            root for root in causal_tree(ddosim.obs.tracer, sink.flow_records())
+            if root["kind"] == "cnc.command"
+        )
+        trains = command["children"]
+        assert [train["kind"] for train in trains] == ["attack.train"] * 2
+        delivered = sum(train["packets_delivered"] for train in trains)
+        assert delivered == sink.total_packets > 0
 
     def test_flow_knob_changes_cache_key(self):
         from repro.serialization import config_to_canonical_json

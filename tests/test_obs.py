@@ -11,7 +11,6 @@ from repro.obs import (
     EventTracer,
     MetricsRegistry,
     NULL_OBSERVATORY,
-    NULL_SPANS,
     NULL_TRACER,
     Observatory,
 )
@@ -82,27 +81,17 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_observations_and_cumulative_buckets(self):
-        histogram = MetricsRegistry().histogram(
-            "latency", buckets=(0.1, 1.0, 10.0)
-        )
-        for value in (0.05, 0.5, 0.5, 5.0, 50.0):
-            histogram.observe(value)
-        assert histogram.count == 5
-        assert histogram.sum == pytest.approx(56.05)
-        buckets = histogram.bucket_dict()
-        assert buckets["0.1"] == 1       # 0.05
-        assert buckets["1"] == 3         # + two 0.5s
-        assert buckets["10"] == 4        # + 5.0
-        assert buckets["+Inf"] == 5      # + 50.0
-        assert histogram.mean() == pytest.approx(56.05 / 5)
-
     def test_snapshot_shape(self):
+        """The histogram kind is gone, but snapshots (and so
+        ``--metrics-out`` files) keep an always-empty ``histograms`` key."""
         registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        stats = registry.snapshot()["histograms"]["h"][""]
-        assert stats["count"] == 1
-        assert set(stats["buckets"]) == {"1", "+Inf"}
+        registry.counter("c_total").inc()
+        registry.gauge("g").set(2)
+        snapshot = registry.snapshot()
+        assert list(snapshot) == ["counters", "gauges", "histograms"]
+        assert snapshot["histograms"] == {}
+        assert MetricsRegistry.delta(snapshot, snapshot)["histograms"] == {}
+        assert not hasattr(registry, "histogram")
 
 
 class TestRegistryExport:
@@ -119,15 +108,6 @@ class TestRegistryExport:
         assert delta["counters"]["c_total"][""] == 4.0
         assert delta["gauges"]["g"][""] == 20.0
 
-    def test_json_and_csv_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total").inc()
-        parsed = json.loads(registry.to_json())
-        assert parsed["counters"]["c_total"][""] == 1.0
-        csv = registry.to_csv()
-        assert csv.splitlines()[0] == "kind,name,labels,field,value"
-        assert "counter,c_total,,value,1" in csv
-
 
 class TestEventTracer:
     def test_emit_and_merged_time_order(self):
@@ -137,6 +117,18 @@ class TestEventTracer:
         names = [event.name for event in tracer.events()]
         assert names == ["a.early", "b.late"]
         assert tracer.events("b.late")[0].fields == {"x": 1}
+
+    def test_same_time_events_come_back_in_emission_order(self):
+        tracer = EventTracer()
+        for name in ("z.first", "a.second", "m.third", "a.fourth"):
+            tracer.emit(name, 5.0)
+        tracer.emit("a.earlier", 4.0)
+        order = ["a.earlier", "z.first", "a.second", "m.third", "a.fourth"]
+        assert [event.name for event in tracer.events()] == order
+        subset = tracer.events("m.third", "a.second", "z.first")
+        assert [event.name for event in subset] == order[1:4]
+        assert [event.seq for event in tracer.events()] == [5, 1, 2, 3, 4]
+        assert not hasattr(tracer.events()[0], "wall")
 
     def test_ring_eviction_is_per_type_and_counted(self):
         tracer = EventTracer(capacity_per_type=3)
@@ -196,12 +188,12 @@ class TestObservatory:
     def test_default_is_metrics_only(self):
         obs = Observatory()
         assert obs.tracer is NULL_TRACER
-        assert obs.spans is NULL_SPANS
+        assert obs.recorder.enabled
 
     def test_full_is_instrumented(self):
         sim = Simulator()
         obs = sim.attach_observatory(Observatory.full())
-        assert obs.tracer.enabled and obs.spans.enabled
+        assert obs.tracer.enabled
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         sim.run()

@@ -40,9 +40,9 @@ class TestRunReport:
         ddosim, result = reported_run
         html = render_run_report(
             result,
-            spans=ddosim.obs.spans,
             tracer=ddosim.obs.tracer,
             recorder=ddosim.obs.recorder,
+            flow_records=ddosim.tserver.sink.flow_records(),
         )
         assert_self_contained(html)
 
@@ -50,14 +50,17 @@ class TestRunReport:
         ddosim, result = reported_run
         html = render_run_report(
             result,
-            spans=ddosim.obs.spans,
             tracer=ddosim.obs.tracer,
             recorder=ddosim.obs.recorder,
+            flow_records=ddosim.tserver.sink.flow_records(),
         )
         assert "attack.train" in html          # causal tree rendered
         assert "cnc.recruit" in html
+        assert "delivered packets=" in html    # train totals from the flows
+        assert "sent packets=" in html
         assert "<svg" in html                  # rate sparkline inlined
         assert "timeline" in html.lower()
+        assert "incomplete" not in html
 
     def test_missing_layers_render_notes_not_errors(self, reported_run):
         _ddosim, result = reported_run
@@ -77,6 +80,40 @@ class TestRunReport:
 
 
 class TestSweepReport:
+    def test_figure2_report_honours_the_single_run_flags(self, tmp_path,
+                                                         monkeypatch):
+        """``report --figure2`` builds every point from the single-run
+        flags; with default flags the points (and so the rows and cache
+        keys) are those of a plain Figure 2 sweep."""
+        from repro.cache import RunCache
+        from repro.core import experiment
+
+        calls = []
+
+        def record(devs_grid, churn_modes, seed, base_config=None, **_):
+            calls.append([
+                experiment._derive(base_config, n_devs=n, churn=churn,
+                                   seed=seed)
+                for churn in churn_modes for n in devs_grid
+            ])
+            return []
+
+        monkeypatch.setattr(experiment, "run_figure2", record)
+        out = str(tmp_path / "r.html")
+        assert main(["report", "--figure2", "--grid", "3", "--no-cache",
+                     "--flow", "all", "--train", "8", "--duration", "10",
+                     "--out", out]) == 0
+        assert main(["report", "--figure2", "--grid", "3", "--no-cache",
+                     "--out", out]) == 0
+        flagged, default = calls
+        assert {(c.flood_flow, c.flood_train, c.attack_duration, c.n_devs)
+                for c in flagged} == {("all", 8, 10.0, 3)}
+        assert [c.churn for c in flagged] == list(experiment.FIGURE2_CHURN)
+        plain = [SimulationConfig(n_devs=3, churn=churn, seed=1)
+                 for churn in experiment.FIGURE2_CHURN]
+        keys = RunCache(root=str(tmp_path / "cache")).key_for
+        assert [keys(c) for c in default] == [keys(c) for c in plain]
+
     def test_rows_and_sparklines(self):
         rows = [
             {"n_devs": 10, "avg_kbps": 100.5, "label": "a"},
@@ -148,12 +185,13 @@ class TestFluidFlowReport:
             "fluid delivery must fill the received-rate series"
         html = render_run_report(
             result,
-            spans=ddosim.obs.spans,
             tracer=ddosim.obs.tracer,
             recorder=ddosim.obs.recorder,
+            flow_records=ddosim.tserver.sink.flow_records(),
         )
         assert_self_contained(html)
         assert "<svg" in html
+        assert "delivered packets=" in html
 
     def test_flows_jsonl_round_trips_through_features(self, fluid_reported_run):
         ddosim, result = fluid_reported_run

@@ -1,13 +1,16 @@
-"""Tests for causal span tracking (repro.obs.spans): deterministic IDs,
-parent/child links, packet attribution, and the end-to-end guarantee
-that the reconstructed attack tree is byte-identical run-to-run and
-across --jobs."""
+"""Tests for the causal attack tree (repro.obs.report.causal_tree): the
+lifecycle spans of a run — probe, exploit, hijack outcome, loader
+attempt, C&C recruit, attack order, flood train — joined from the event
+trace, with each train's delivered totals read from the sink's flow
+records, and the end-to-end guarantee that the tree is byte-identical
+run-to-run and across --jobs."""
+
+import json
 
 import pytest
 
 from repro.core import DDoSim, SimulationConfig
-from repro.obs import Observatory
-from repro.obs.spans import NULL_SPANS, SpanTracker, canonical_spans_run
+from repro.obs import NULL_TRACER, EventTracer, Observatory, causal_tree
 from repro.parallel import run_map
 
 
@@ -26,165 +29,184 @@ def spans_config(**overrides):
     return SimulationConfig(**base)
 
 
-class TestSpanIds:
-    def test_ids_are_deterministic_functions_of_position(self):
-        first, second = SpanTracker(seed=3), SpanTracker(seed=3)
-        a = first.start("exploit", 1.0, entity="dev0")
-        b = second.start("exploit", 1.0, entity="dev0")
-        assert a.span_id == b.span_id
+def traced(config) -> DDoSim:
+    ddosim = DDoSim(config, observatory=Observatory.full())
+    ddosim.run()
+    return ddosim
 
-    def test_different_seed_changes_root_namespace(self):
-        a = SpanTracker(seed=1).start("exploit", 1.0, entity="dev0")
-        b = SpanTracker(seed=2).start("exploit", 1.0, entity="dev0")
-        assert a.span_id != b.span_id
 
-    def test_repeated_same_position_gets_fresh_index(self):
-        tracker = SpanTracker(seed=0)
-        a = tracker.start("probe", 1.0, entity="dev0")
-        b = tracker.start("probe", 2.0, entity="dev0")
-        assert a.span_id != b.span_id
+def tree_of(ddosim):
+    return causal_tree(ddosim.obs.tracer, ddosim.tserver.sink.flow_records())
 
-    def test_reseed_resets_counters_and_state(self):
-        tracker = SpanTracker(seed=5)
-        first = tracker.start("probe", 1.0, entity="dev0")
-        tracker.bind(("k",), first)
-        tracker.reseed(5)
-        assert len(tracker) == 0
-        assert tracker.lookup(("k",)) is None
-        again = tracker.start("probe", 1.0, entity="dev0")
-        assert again.span_id == first.span_id
+
+def nodes_of(tree):
+    for node in tree:
+        yield node
+        yield from nodes_of(node["children"])
+
+
+def canonical_tree_run(config) -> str:
+    """One traced run's causal tree as canonical JSON (module-level so it
+    pickles into run_map workers)."""
+    return json.dumps(tree_of(traced(config)), sort_keys=True)
+
+
+def _hijack_chain(tracer, address="2001:db8::5"):
+    tracer.emit("exploit.attempt", 1.0, vector="dns", target=address,
+                slide=0, program="connmand")
+    tracer.emit("exploit.success", 1.5, program="connmand",
+                container="dev000", address=address)
+    tracer.emit("cnc.recruit", 2.0, bot_id=1, address=address,
+                architecture="x86_64")
+
+
+def _order_and_train(tracer, stop=True):
+    tracer.emit("cnc.attack", 3.0, method="udpplain", target="2001:db8::2",
+                port=7777, duration=10.0, bots=1)
+    tracer.emit("attack.start", 3.5, address="2001:db8::5", src_port=49152,
+                method="udpplain", target="2001:db8::2", port=7777)
+    if stop:
+        tracer.emit("attack.stop", 13.5, address="2001:db8::5",
+                    src_port=49152, packets_sent=100, bytes_sent=56000)
+
+
+_FLOW_RECORD = {"src": "2001:db8::5", "src_port": 49152, "dst_port": 7777,
+                "packets": 60, "bytes": 33600}
 
 
 class TestLifecycle:
     def test_parent_links_and_tree_nesting(self):
-        tracker = SpanTracker(seed=0)
-        parent = tracker.start("exploit", 1.0, entity="a")
-        child = tracker.start("cnc.recruit", 2.0, entity="a", parent=parent)
-        assert child.parent_id == parent.span_id
-        tree = tracker.tree()
+        tracer = EventTracer()
+        _hijack_chain(tracer)
+        tree = causal_tree(tracer)
         assert [node["kind"] for node in tree] == ["exploit"]
-        assert tree[0]["children"][0]["kind"] == "cnc.recruit"
+        outcome = tree[0]["children"][0]
+        assert (outcome["kind"], outcome["entity"], outcome["status"]) == (
+            "exploit.outcome", "dev000", "hijacked")
+        assert outcome["children"][0]["kind"] == "cnc.recruit"
 
     def test_end_records_status_and_fields(self):
-        tracker = SpanTracker(seed=0)
-        span = tracker.start("exploit", 1.0, entity="a")
-        tracker.end(span, 3.5, status="sent", vector="dns")
-        assert span.t_end == 3.5
-        assert span.status == "sent"
-        assert span.duration == pytest.approx(2.5)
-        assert span.to_dict()["vector"] == "dns"
+        tracer = EventTracer()
+        _order_and_train(tracer)
+        train = causal_tree(tracer, [_FLOW_RECORD])[0]["children"][0]
+        assert (train["t_start"], train["t_end"], train["status"]) == (
+            3.5, 13.5, "ok")
+        assert (train["packets_sent"], train["bytes_sent"]) == (100, 56000)
+        assert (train["packets_delivered"], train["bytes_delivered"]) == (
+            60, 33600)
 
     def test_bind_and_lookup_cross_layer_keys(self):
-        tracker = SpanTracker(seed=0)
-        span = tracker.start("exploit", 1.0, entity="a")
-        tracker.bind(("exploit", "2001:db8::1"), span)
-        assert tracker.lookup(("exploit", "2001:db8::1")) is span
-        assert tracker.lookup(("exploit", "unknown")) is None
-
-    def test_drop_and_deliver_attribute_to_span(self):
-        tracker = SpanTracker(seed=0)
-        span = tracker.start("attack.train", 1.0, entity="a")
-        tracker.drop(span.span_id, 3)
-        tracker.deliver(span.span_id, 2, nbytes=1024)
-        record = span.to_dict()
-        assert record["packets_dropped"] == 3
-        assert record["packets_delivered"] == 2
-        assert record["bytes_delivered"] == 1024
-        # Unknown IDs (e.g. a truncated span) are silently ignored.
-        tracker.drop("ffffffffffffffff")
+        tracer = EventTracer()
+        _hijack_chain(tracer)
+        # A crash at an address no exploit targeted becomes its own root.
+        tracer.emit("exploit.crash", 4.0, program="dnsmasq",
+                    container="dev009", address="2001:db8::9", reason="SIGSEGV")
+        roots = causal_tree(tracer)
+        assert [root["kind"] for root in roots] == ["exploit", "exploit.outcome"]
+        assert roots[1]["status"] == "crashed"
+        assert roots[1]["reason"] == "SIGSEGV"
 
     def test_capacity_truncates_but_callers_keep_working(self):
-        tracker = SpanTracker(seed=0, max_spans=2)
-        kept = [tracker.start("x", float(i), entity=str(i)) for i in range(2)]
-        extra = tracker.start("x", 9.0, entity="overflow")
-        assert extra is not None
-        tracker.end(extra, 10.0)  # no-op retention, no crash
-        assert len(tracker) == 2
-        assert tracker.truncated == 1
-        assert tracker.get(kept[0].span_id) is not None
-        assert tracker.get(extra.span_id) is None
-
-    def test_ended_spans_noted_into_flight_recorder(self):
-        from repro.obs.recorder import FlightRecorder
-
-        tracker = SpanTracker(seed=0)
-        tracker.recorder = FlightRecorder()
-        span = tracker.start("exploit", 1.0, entity="a")
-        tracker.end(span, 2.0, status="sent")
-        note = tracker.recorder.recent()[-1]
-        assert note["kind"] == "span"
-        assert note["span"] == "exploit"
-        assert note["status"] == "sent"
+        tracer = EventTracer(capacity_per_type=1)
+        _order_and_train(tracer, stop=False)
+        # A second start evicts the first; the first train's stop then
+        # has nothing to close and is skipped.
+        tracer.emit("attack.start", 4.0, address="2001:db8::6",
+                    src_port=49152, method="udpplain", target="2001:db8::2",
+                    port=7777)
+        tracer.emit("attack.stop", 13.5, address="2001:db8::5",
+                    src_port=49152, packets_sent=100, bytes_sent=56000)
+        trains = causal_tree(tracer)[0]["children"]
+        assert [train["entity"] for train in trains] == ["2001:db8::6"]
+        assert tracer.evicted["attack.start"] == 1
 
 
 class TestNullSpans:
     def test_null_tracker_is_inert(self):
-        assert NULL_SPANS.enabled is False
-        span = NULL_SPANS.start("exploit", 1.0, entity="a")
-        assert span is None
-        NULL_SPANS.end(span, 2.0)
-        NULL_SPANS.bind(("k",), span)
-        assert NULL_SPANS.lookup(("k",)) is None
-        assert NULL_SPANS.spans() == []
-        assert NULL_SPANS.canonical_json() == "[]"
-
-
-class TestExport:
-    def test_to_dicts_ordered(self):
-        tracker = SpanTracker(seed=0)
-        late = tracker.start("b", 5.0, entity="x")
-        early = tracker.start("a", 1.0, entity="y")
-        tracker.end(late, 6.0)
-        tracker.end(early, 2.0)
-        records = tracker.to_dicts()
-        assert [r["kind"] for r in records] == ["a", "b"]
+        assert causal_tree(NULL_TRACER, [_FLOW_RECORD]) == []
+        assert not hasattr(Observatory(), "spans")
 
 
 @pytest.fixture(scope="module")
 def traced_run():
-    ddosim = DDoSim(spans_config(), observatory=Observatory.full())
-    result = ddosim.run()
-    return ddosim, result
+    ddosim = traced(spans_config())
+    return ddosim, tree_of(ddosim)
 
 
 class TestEndToEndTree:
     def test_recruitment_chain_reconstructs(self, traced_run):
-        ddosim, result = traced_run
-        kinds = ddosim.obs.spans.kinds()
-        assert kinds["cnc.recruit"] == result.recruitment.bots_recruited == 2
-        for root in ddosim.obs.spans.tree():
-            if root["kind"] != "exploit":
-                continue
+        ddosim, tree = traced_run
+        recruits = [n for n in nodes_of(tree) if n["kind"] == "cnc.recruit"]
+        assert len(recruits) == 2
+        starts = [root["t_start"] for root in tree]
+        assert starts == sorted(starts)
+        chains = [root for root in tree if root["kind"] == "exploit"]
+        assert len(chains) == 2
+        for root in chains:
             outcome = root["children"][0]
             assert outcome["kind"] == "exploit.outcome"
             assert outcome["children"][0]["kind"] == "cnc.recruit"
 
     def test_attack_trains_parent_under_command(self, traced_run):
-        ddosim, _result = traced_run
-        command = next(root for root in ddosim.obs.spans.tree()
-                       if root["kind"] == "cnc.command")
+        ddosim, tree = traced_run
+        command = next(root for root in tree if root["kind"] == "cnc.command")
         trains = [c for c in command["children"] if c["kind"] == "attack.train"]
         assert len(trains) == 2
+        assert all(t["status"] == "ok" for t in trains)
         assert all(t["packets_delivered"] > 0 for t in trains)
         assert all(t["bytes_delivered"] > 0 for t in trains)
+        # Every delivered packet was sent: sent - delivered is the loss.
+        assert all(t["packets_sent"] >= t["packets_delivered"] for t in trains)
+        sink = ddosim.tserver.sink
+        assert sum(t["packets_delivered"] for t in trains) == sink.total_packets
 
-    def test_span_ids_contain_no_wall_clock(self, traced_run):
-        ddosim, _result = traced_run
-        for span in ddosim.obs.spans.spans():
-            int(span.span_id, 16)  # pure hex digest
-            assert len(span.span_id) == 16
+
+class TestOpenNodes:
+    def test_a_flood_still_running_at_the_end_leaves_its_train_open(self):
+        # Churn held three bots' links down when the order went out (t=47):
+        # they got it at t=61-94, so their floods outlast the run and
+        # their trains have an attack.start but no attack.stop.
+        ddosim = traced(SimulationConfig(
+            n_devs=30, seed=2, churn="dynamic", flood_flow="auto",
+            flood_train=8))
+        trains = [n for n in nodes_of(tree_of(ddosim))
+                  if n["kind"] == "attack.train"]
+        still_open = [t for t in trains if t["status"] == "open"]
+        assert len(trains) == 30
+        assert len(still_open) == 3
+        assert all(t["t_end"] is None and "packets_sent" not in t
+                   for t in still_open)
+        assert all(t["packets_delivered"] > 0 for t in still_open)
+
+
+class TestLoaderPath:
+    def test_loader_infection_parents_the_recruit(self):
+        ddosim = traced(SimulationConfig(
+            n_devs=10, seed=1, recruitment_vector="credentials",
+            attack_duration=10.0, sim_duration=160.0))
+        tree = tree_of(ddosim)
+        attempts = [root for root in tree if root["kind"] == "loader.attempt"]
+        assert len(attempts) == 10
+        infected = [a for a in attempts if a["status"] == "infected"]
+        recruited = ddosim.attacker.cnc.seen_addresses
+        assert infected and len(infected) == len(recruited)
+        for attempt in infected:
+            assert attempt["attempts"] >= 1
+            assert [c["kind"] for c in attempt["children"]] == ["cnc.recruit"]
+        assert all(a["status"] == "failed" and not a["children"]
+                   for a in attempts if a not in infected)
 
 
 class TestDeterminism:
     def test_tree_byte_identical_across_runs_and_jobs(self):
         config = spans_config()
-        serial = canonical_spans_run(config)
-        again = canonical_spans_run(config)
+        serial = canonical_tree_run(config)
+        again = canonical_tree_run(config)
         assert serial == again
-        parallel = run_map(canonical_spans_run, [config, config], jobs=2)
+        parallel = run_map(canonical_tree_run, [config, config], jobs=2)
         assert parallel == [serial, serial]
 
     def test_different_seed_differs(self):
-        base = canonical_spans_run(spans_config())
-        other = canonical_spans_run(spans_config(seed=2))
+        base = canonical_tree_run(spans_config())
+        other = canonical_tree_run(spans_config(seed=2))
         assert base != other
