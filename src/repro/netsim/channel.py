@@ -104,10 +104,11 @@ class PointToPointChannel(Channel):
         self._notify_flows()
 
     def _notify_flows(self) -> None:
-        """Medium parameters changed: re-linearize any fluid flows."""
+        """Medium parameters changed: re-linearize the fluid flows
+        crossing this link."""
         flows = self.sim.flows
         if flows is not None:
-            flows.on_link_change()
+            flows.on_link_change(self)
 
     def fluid_carry(self, count: int, nbytes: int, lost: int = 0) -> None:
         """Account analytically-carried flow packets (no scheduling).

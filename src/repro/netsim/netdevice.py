@@ -64,10 +64,11 @@ class NetDevice:
 
     def _notify_flows(self) -> None:
         """Link state changed: let the fluid-flow engine (if any) close
-        the current constant-rate segment and re-solve."""
+        this device's constant-rate segment and re-solve it and the
+        groups downstream."""
         flows = self.sim.flows
         if flows is not None:
-            flows.on_link_change()
+            flows.on_link_change(self)
 
     def set_down(self) -> None:
         """Take the device offline (churn departure)."""

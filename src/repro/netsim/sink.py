@@ -37,8 +37,10 @@ class PacketSink(Application):
         self.flows: Dict[Tuple[object, int, int], dict] = {}
         self.first_packet_time: Optional[float] = None
         self.last_packet_time: Optional[float] = None
-        #: per-FluidFlow quantization state: [byte_remainder, packet_remainder]
+        #: per-FluidFlow record quantization: [byte_remainder, packet_remainder]
         self._fluid: Dict[object, list] = {}
+        #: sub-byte remainder carried between fluid bin credits
+        self._fluid_remainder = 0.0
 
     def _do_start(self) -> None:
         udp = self.node.udp
@@ -125,31 +127,32 @@ class PacketSink(Application):
     # ------------------------------------------------------------------
     # Fluid datapath
     # ------------------------------------------------------------------
-    def account_fluid(self, flow, nbytes: float, start: float, end: float) -> int:
-        """Credit ``nbytes`` of a :class:`~repro.netsim.flows.FluidFlow`
-        arriving uniformly over ``[start, end)``.
+    def account_fluid(self, nbytes: float, start: float, end: float) -> int:
+        """Credit ``nbytes`` of fluid flood traffic arriving uniformly over
+        ``[start, end)`` (at ``start`` when ``end <= start``).
 
-        Integrates the flow's byte-rate into the same per-second
-        ``bytes_per_bin`` histogram, packet/byte totals, ``per_source``
-        and NetFlow ``flows`` records the packet path fills.  Bins get
-        integer bytes; fractional remainders persist per flow (in
-        ``_fluid``) so totals are exact in expectation with zero drift.
-        Returns the integer bytes credited by this call.
+        The :class:`~repro.netsim.flows.FlowEngine` calls this once per
+        last-hop group segment, for the aggregate of the flows that group
+        carries, so the byte-rate lands in the same per-second
+        ``bytes_per_bin`` histogram and ``total_bytes`` the packet path
+        fills.  Bins get whole bytes; the fractional remainder carries to
+        the next credit, so ``sum(bytes_per_bin) == total_bytes`` exactly
+        and nothing drifts.  Per-flow records are settled separately, by
+        :meth:`settle_fluid`.  Returns the whole bytes credited.
         """
         if nbytes <= 0.0:
+            # A shortfall on bytes already credited is owed by later ones.
+            self._fluid_remainder += nbytes
             return 0
-        state = self._fluid.get(flow)
-        if state is None:
-            state = self._fluid[flow] = [0.0, 0.0]
         width = self.bin_width
         bins = self.bytes_per_bin
+        remainder = self._fluid_remainder
         credited = 0
         if end <= start:
-            # Instantaneous credit (residual backlog flush at flow stop).
-            state[0] += nbytes
-            whole = int(state[0])
-            if whole:
-                state[0] -= whole
+            remainder += nbytes
+            whole = int(remainder)
+            if whole > 0:
+                remainder -= whole
                 bins[int(start / width)] += whole
                 credited = whole
         else:
@@ -160,26 +163,47 @@ class PacketSink(Application):
                 seg_end = (bin_index + 1) * width
                 if seg_end > end:
                     seg_end = end
-                state[0] += rate * (seg_end - t)
-                whole = int(state[0])
-                if whole:
-                    state[0] -= whole
+                remainder += rate * (seg_end - t)
+                whole = int(remainder)
+                if whole > 0:
+                    remainder -= whole
                     bins[bin_index] += whole
                     credited += whole
                 t = seg_end
+        self._fluid_remainder = remainder
         if credited == 0:
             return 0
-        size = flow.packet_size
-        state[1] += credited / size
-        packets = int(state[1])
-        if packets:
-            state[1] -= packets
-        self.total_packets += packets
         self.total_bytes += credited
         if self.first_packet_time is None or start < self.first_packet_time:
             self.first_packet_time = start
         if self.last_packet_time is None or end > self.last_packet_time:
             self.last_packet_time = end
+        return credited
+
+    def settle_fluid(self, flow, nbytes: float, first: float, last: float) -> int:
+        """Settle ``nbytes`` a :class:`~repro.netsim.flows.FluidFlow`
+        delivered between ``first`` and ``last`` (arrival times) into its
+        ``per_source`` entry, its NetFlow ``flows`` record and
+        ``total_packets``.
+
+        Fractional bytes and packets carry per flow (in ``_fluid``), so
+        ``total_packets`` is exactly the sum of the records' packets.
+        The bytes themselves were binned by :meth:`account_fluid`.
+        Returns the whole bytes settled.
+        """
+        state = self._fluid.get(flow)
+        if state is None:
+            state = self._fluid[flow] = [0.0, 0.0]
+        state[0] += nbytes
+        credited = int(state[0])
+        flow_key = (flow.src_address, flow.src_port, flow.dst_port)
+        if credited == 0 or (credited < 0 and flow_key not in self.flows):
+            return 0
+        state[0] -= credited
+        state[1] += credited / flow.packet_size
+        packets = int(state[1])
+        state[1] -= packets
+        self.total_packets += packets
         key = (flow.src_address, flow.src_port)
         entry = self.per_source.get(key)
         if entry is None:
@@ -187,20 +211,19 @@ class PacketSink(Application):
         else:
             entry[0] += packets
             entry[1] += credited
-        flow_key = (flow.src_address, flow.src_port, flow.dst_port)
         record = self.flows.get(flow_key)
         if record is None:
             self.flows[flow_key] = {
                 "dst": flow.dst_address,
                 "packets": packets,
                 "bytes": credited,
-                "t_first": start,
-                "t_last": end,
+                "t_first": first,
+                "t_last": last,
             }
         else:
             record["packets"] += packets
             record["bytes"] += credited
-            record["t_last"] = end
+            record["t_last"] = last
         return credited
 
     # ------------------------------------------------------------------
@@ -280,6 +303,7 @@ class PacketSink(Application):
                  state[0], state[1]]
                 for flow, state in self._fluid.items()
             ),
+            "fluid_remainder": self._fluid_remainder,
         }
 
     def reset(self) -> None:
@@ -292,3 +316,4 @@ class PacketSink(Application):
         self.first_packet_time = None
         self.last_packet_time = None
         self._fluid.clear()
+        self._fluid_remainder = 0.0

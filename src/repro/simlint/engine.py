@@ -10,9 +10,10 @@ one ``(path, line, col, code)`` order whatever the walk order.
 
 Escape hatches keep the gate honest rather than noisy:
 
-* the **clock allowlist** — files under an ``obs``/``benchmarks``
-  directory (or named ``bench*``) may read the wall clock, because
-  measuring wall time is their job; SIM101 is informational there.
+* the **clock allowlist** — files under a ``benchmarks`` directory
+  (or named ``bench*``) may read the wall clock, because measuring wall
+  time is their job; SIM101 is informational there.  ``repro.obs`` is
+  not on it: its trace is what the double-run gate compares.
 * **suppression comments** (``# simlint: disable=SIM101``) — for the
   handful of intentional violations elsewhere.  Suppressions are part
   of the diff, so every exception is reviewed like any other code.
@@ -38,7 +39,7 @@ from repro.simlint.rules import (
 )
 
 #: path components whose files measure wall time on purpose
-CLOCK_ALLOWLIST_DIRS = ("obs", "benchmarks")
+CLOCK_ALLOWLIST_DIRS = ("benchmarks",)
 
 
 def in_clock_allowlist(path: str) -> bool:

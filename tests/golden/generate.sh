@@ -1,8 +1,8 @@
 #!/bin/sh
 # Regenerate the golden outputs into DIR: three Figure 2 grids (one per
-# --flow tier) and the result + metrics JSON of three single runs.  Run
+# --flow tier) and the result + metrics JSON of four single runs.  Run
 # it from the repository root with the package importable (PYTHONPATH=src
-# or an editable install); it takes about 20 s.  To check the bytes:
+# or an editable install); it takes about 22 s.  To check the bytes:
 #
 #   sh tests/golden/generate.sh DIR
 #   (cd DIR && sha256sum -c "$OLDPWD/tests/golden/SHA256SUMS")
@@ -22,3 +22,7 @@ repro run --devs 6 --seed 3 --churn static --flow auto --train 8 \
     --json "$out/run-static-auto-train8.json" --metrics-out "$out/run-static-auto-train8.metrics.json"
 repro run --devs 8 --seed 2 \
     --json "$out/run-devs8.json" --metrics-out "$out/run-devs8.metrics.json"
+# Fully fluid past saturation, with churn: pins the fluid engine's
+# link-change epochs byte for byte.
+repro run --devs 120 --seed 2 --churn dynamic --flow all \
+    --json "$out/run-dynamic-flow-all.json" --metrics-out "$out/run-dynamic-flow-all.metrics.json"

@@ -188,6 +188,97 @@ class TestFluidSolver:
         assert all(isinstance(v, int) for v in sink.bytes_per_bin.values())
 
 
+class TestEngineScale:
+    def test_epoch_cost_is_independent_of_active_flows(self, monkeypatch):
+        """Each epoch integrates and credits only its path's groups: the
+        work for 200 flows started one by one, then stopped, stays within
+        4 per epoch (re-integrating every active flow would be ~40,000)."""
+        calls = [0]
+
+        def counted(method):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(FlowEngine, "_integrate_group",
+                            counted(FlowEngine._integrate_group))
+        monkeypatch.setattr(PacketSink, "account_fluid",
+                            counted(PacketSink.account_fluid))
+        sim = Simulator()
+        star = StarInternet(sim)
+        receiver = Node(sim, "receiver")
+        senders = [Node(sim, f"bot{index}") for index in range(200)]
+        for node in senders:
+            star.attach_host(node, 200e3, delay=0.02)
+        star.attach_host(receiver, 100e6, delay=0.005,
+                         downlink_rate_bps=20e6, queue_packets=100)
+        sink = PacketSink(receiver)
+        sink.start()
+        engine = FlowEngine(sim, mode="all")
+        destination = star.address_of(receiver)
+
+        def run(index):
+            flow = engine.start_flow(senders[index], destination, 7777, 9,
+                                     rate_bps=200e3, payload_size=512,
+                                     packet_size=WIRE)
+            sim.schedule(40.0, engine.stop_flow, flow)
+
+        for index in range(200):
+            sim.schedule_at(0.1 * index, run, index)
+        sim.run(until=70.0)
+        engine.flush()
+        assert engine.epochs == 400
+        assert calls[0] <= 4 * engine.epochs
+        # 40 Mbps offered into a 20 Mbps downlink while all 200 overlap.
+        assert star.total_queue_drops() > 0
+        assert sum(sink.bytes_per_bin.values()) == sink.total_bytes
+
+    @pytest.mark.parametrize("churn, packet_kbps", [
+        # the packet tier's avg_received_kbps, perfbench/refs.json, seed 1
+        ("none", 29756.0256),
+        ("dynamic", 28402.3488),
+    ])
+    def test_saturated_fleet_matches_packet_tier(self, churn, packet_kbps):
+        config = SimulationConfig(n_devs=100, seed=1, flood_flow="all",
+                                  churn=churn)
+        result = DDoSim(config).run()
+        assert result.recruitment.bots_at_attack == 100
+        assert result.attack.avg_received_kbps == pytest.approx(
+            packet_kbps, rel=0.001
+        )
+
+
+class TestStalledSink:
+    def test_bytes_reaching_a_stopped_sink_count_as_dropped(self):
+        """During a sink stall the fluid flows' bytes are dropped as
+        unreachable at TServer, as the packet path counts them, instead
+        of vanishing from the flows' accounting."""
+        from repro.faults import FaultPlan
+
+        config = SimulationConfig(
+            n_devs=4, seed=6, flood_flow="all", attack_duration=20.0,
+            faults=FaultPlan.from_dict({"faults": [
+                {"kind": "sink_stall", "at": 60.0, "duration": 10.0},
+            ]}),
+        )
+        ddosim = DDoSim(config)
+        ddosim.run()
+        engine = ddosim.flow_engine
+        flows = engine.finished
+        assert flows and not engine.flows
+        for flow in flows:
+            gap = flow.offered_bytes - flow.delivered_bytes - flow.dropped_bytes
+            assert abs(gap) <= 1.0
+        unreachable = ddosim.tserver.node.udp.rx_unreachable
+        dropped = sum(flow.dropped_bytes for flow in flows)
+        # No queue drops on this uncongested run: every dropped byte hit
+        # the stopped sink, and whole packets are counted there.
+        assert ddosim.star.total_queue_drops() == 0
+        assert unreachable > 0
+        assert unreachable == pytest.approx(dropped / WIRE, abs=1.0)
+
+
 class TestCrossoverModes:
     def _run(self, flow_mode):
         config = SimulationConfig(

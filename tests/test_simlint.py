@@ -71,8 +71,10 @@ class TestSim101WallClock:
 
     def test_clock_allowlist_path(self):
         source = "import time\nt = time.perf_counter()\n"
-        assert lint_source(source, path="src/repro/obs/trace.py") == []
         assert lint_source(source, path="benchmarks/bench_engine.py") == []
+        # The trace feeds the double-run gate, so obs gets no waiver.
+        assert codes_of(lint_source(source, path="src/repro/obs/trace.py")) \
+            == ["SIM101"]
         assert codes_of(lint_source(source, path="src/repro/netsim/x.py")) \
             == ["SIM101"]
 
@@ -284,14 +286,14 @@ class TestSelectIgnore:
 
 
 class TestClockAllowlist:
-    def test_obs_and_benchmarks_dirs(self):
-        assert in_clock_allowlist("src/repro/obs/trace.py")
+    def test_benchmark_dirs_and_files(self):
         assert in_clock_allowlist("benchmarks/bench_engine.py")
         assert in_clock_allowlist("tests/bench_scheduler.py")
 
     def test_sim_paths_are_not_allowlisted(self):
         assert not in_clock_allowlist("src/repro/netsim/simulator.py")
         assert not in_clock_allowlist("src/repro/core/framework.py")
+        assert not in_clock_allowlist("src/repro/obs/trace.py")
 
 
 # ----------------------------------------------------------------------
