@@ -10,6 +10,10 @@ faster only overflows its own queue, which the link would drop anyway.
 SYN and ACK floods are included for completeness (Mirai supports ~10
 attack vectors); they craft raw TCP segments and are exercised by the
 extension tests and the detection use case.
+
+The per-packet floods run as a :class:`~repro.netsim.process.SimProcess`
+like every payload, but pace their emissions as plain scheduled
+callbacks (:class:`_Emitter`), as NS-3's traffic generators do.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from repro.netsim.headers import (
 )
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
+from repro.netsim.process import SimFuture, Timeout
 
 #: Mirai's default UDP payload size for udpplain (bytes)
 DEFAULT_PAYLOAD_SIZE = 512
@@ -73,6 +78,69 @@ def _device_rate_bps(node: Node, fallback: float = 250_000.0) -> float:
     return float(rate) if rate else fallback
 
 
+class _Emitter(SimFuture):
+    """A flood's emissions after its first, as scheduled callbacks;
+    resolves at the deadline.
+
+    Each callback calls ``send()`` (one datagram, train or segment,
+    counted in the flood's stats) and schedules the next ``interval``
+    later with ``schedule_bare``, where a ``yield Timeout(sim,
+    interval)`` loop built its timer, so every event keeps its
+    ``(time, seq)``.  An emission costs one heap entry and one call
+    instead of a ``Timeout`` future, its event handle and a coroutine
+    resume.  The waiting process is checked before each emission: once
+    it is killed, even at the instant an emission is due, nothing more
+    is sent, as :meth:`SimProcess._resume` ignores a wakeup after
+    ``kill()``.  An error from ``send()`` fails the emitter, so it is
+    raised inside the flood's generator.
+    """
+
+    __slots__ = ("_send", "_interval", "_deadline", "_process")
+
+    def __init__(self, sim, send, interval: float, deadline: float):
+        super().__init__(sim)
+        self._send = send
+        self._interval = interval
+        self._deadline = deadline
+        self._process = None
+        sim.schedule_bare(interval, self._fire)
+
+    def add_waiter(self, process) -> None:
+        self._process = process
+        super().add_waiter(process)
+
+    def _fire(self) -> None:
+        if self._process.killed:
+            return
+        sim = self.sim
+        if sim.now < self._deadline:
+            try:
+                self._send()
+            except Exception as error:  # noqa: BLE001 - fails the flood process
+                self.fail(error)
+                return
+            sim.schedule_bare(self._interval, self._fire)
+        else:
+            self.succeed()
+
+
+def _paced(sim, stats: AttackStats, duration: float, interval: float, send):
+    """Generator: ``send()`` now and every ``interval`` seconds while
+    ``duration`` has not passed, then return ``stats``.
+
+    The first emission runs in the process's own step, as the loop's
+    first pass did, so a flood that ends or fails there never
+    suspends; the rest are :class:`_Emitter` callbacks.
+    """
+    stats.started_at = sim.now
+    deadline = sim.now + duration
+    if sim.now < deadline:
+        send()
+        yield _Emitter(sim, send, interval, deadline)
+    stats.finished_at = sim.now
+    return stats
+
+
 def udp_plain_flood(
     node: Node,
     target: Address,
@@ -91,14 +159,14 @@ def udp_plain_flood(
     to the bot's own access-link rate (its uplink is the binding
     constraint for 100-500 kbps IoT devices).
 
-    ``train`` > 1 batches emission: each wakeup sends one
+    ``train`` > 1 batches emission: each emission sends one
     :class:`~repro.netsim.packet.PacketTrain` of ``train`` packets and
-    sleeps ``train`` intervals, cutting scheduler events per packet by
-    ~the train size at the same paced wire rate.  ``train=1`` is the
-    exact per-packet path.
+    the next comes ``train`` intervals later, cutting scheduler events
+    per packet by ~the train size at the same paced wire rate.
+    ``train=1`` is the exact per-packet path.  Either way every emission
+    after the first is an :class:`_Emitter` callback, and the generator
+    resumes only when the flood ends.
     """
-    from repro.netsim.process import Timeout
-
     if stats is None:
         stats = AttackStats()
     if train < 1:
@@ -106,32 +174,27 @@ def udp_plain_flood(
     rate = rate_bps if rate_bps is not None else _device_rate_bps(node)
     wire_size = payload_size + _udp_wire_overhead(target)
     interval = wire_size * 8.0 / rate
-    sim = node.sim
     udp = node.udp
     sport = src_port if src_port is not None else udp.allocate_ephemeral_port()
-    stats.started_at = sim.now
-    deadline = sim.now + duration
     if train == 1:
-        while sim.now < deadline:
+        def send():
             udp.send_datagram(
                 None, target, target_port, src_port=sport,
                 payload_size=payload_size,
             )
             stats.packets_sent += 1
             stats.bytes_sent += wire_size  # wire bytes, comparable to the sink's
-            yield Timeout(sim, interval)
     else:
-        wakeup = interval * train
-        while sim.now < deadline:
+        interval *= train
+
+        def send():
             udp.send_train(
                 target, target_port, train, src_port=sport,
                 payload_size=payload_size,
             )
             stats.packets_sent += train
             stats.bytes_sent += wire_size * train
-            yield Timeout(sim, wakeup)
-    stats.finished_at = sim.now
-    return stats
+    return (yield from _paced(node.sim, stats, duration, interval, send))
 
 
 def udp_plain_flow(
@@ -154,8 +217,6 @@ def udp_plain_flow(
     then closes the flow and reads its offered totals back into
     ``stats``.  Requires an active engine (``sim.flows``).
     """
-    from repro.netsim.process import Timeout
-
     if stats is None:
         stats = AttackStats()
     engine = node.sim.flows
@@ -215,19 +276,17 @@ def ack_flood(
 
 
 def _tcp_flag_flood(node, target, target_port, duration, flags, rate_bps, stats):
-    from repro.netsim.process import Timeout
-
     if stats is None:
         stats = AttackStats()
     rate = rate_bps if rate_bps is not None else _device_rate_bps(node)
     segment_size = TcpHeader.wire_size + _ip_wire_size(target)
     interval = max(segment_size * 8.0 / rate, 1e-4)
     sim = node.sim
-    stats.started_at = sim.now
-    deadline = sim.now + duration
     sport = 1024
     seq = 0
-    while sim.now < deadline:
+
+    def send():
+        nonlocal sport, seq
         packet = Packet(created_at=sim.now)
         packet.add_header(TcpHeader(sport, target_port, seq=seq, flags=flags))
         node.ip.send(packet, target, PROTO_TCP)
@@ -235,6 +294,5 @@ def _tcp_flag_flood(node, target, target_port, duration, flags, rate_bps, stats)
         stats.bytes_sent += segment_size
         sport = 1024 + (sport - 1023) % 60000
         seq += 1
-        yield Timeout(sim, interval)
-    stats.finished_at = sim.now
-    return stats
+
+    return (yield from _paced(sim, stats, duration, interval, send))

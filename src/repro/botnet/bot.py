@@ -7,6 +7,13 @@ to kill processes associated with other DDoS variants and processes bound
 to port 22 or 23 (TCP) to fortify itself."  Then it connects to the C&C
 and waits for commands — here ``ATTACK udpplain ...`` orders, which it
 executes with :func:`repro.botnet.attacks.udp_plain_flood`.
+
+Each order's flood is a :class:`~repro.netsim.process.SimProcess` of
+its own, killed by a ``STOP`` order or when the bot process ends (a
+container crash).  On the per-packet tiers its emissions are scheduled
+callbacks, so the process resumes once, when the flood ends, and
+resolves with the flood's :class:`~repro.botnet.attacks.AttackStats`;
+a kill stops the emissions at once.
 """
 
 from __future__ import annotations
@@ -180,7 +187,9 @@ def mirai_program(image: BinaryImage):
 
 def _traced_flood(ctx, flood, stats, address: str, src_port):
     """Wrap a flood generator so ``attack.stop`` carries its emission
-    totals even when the flood is killed mid-attack (churn, STOP order)."""
+    totals even when the flood is killed mid-attack (a crash, a STOP
+    order): the kill is thrown into the flood where it waits for its
+    emitter."""
     try:
         result = yield from flood
     finally:

@@ -117,7 +117,7 @@ class SimulationConfig:
     queue_packets: int = 100
 
     # --- Engine performance knobs --------------------------------------
-    #: flood packet-train size: each bot wakeup emits this many packets
+    #: flood packet-train size: each flood emission sends this many packets
     #: as one scheduled unit (1 = exact per-packet seed behaviour)
     flood_train: int = 1
     #: fluid-flow crossover: "off" (exact packet/train datapath), "auto"

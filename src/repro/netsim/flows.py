@@ -88,7 +88,8 @@ def resolve_path(node, destination: Address) -> Tuple[list, object]:
 
     Returns ``(hops, final_node)`` where ``hops`` is the ordered list of
     egress :class:`~repro.netsim.netdevice.NetDevice`\\ s the traffic
-    serializes through.  Routing in the star (and any static host-route
+    serializes through (each hop's group also watches the device at the
+    far end of its link).  Routing in the star (and any static host-route
     topology) never changes at runtime, so the path is resolved once per
     flow; only link *state* along it varies between epochs.
     """
@@ -203,20 +204,21 @@ class _Group:
     """
 
     __slots__ = (
-        "device", "depth", "peer", "members", "rates", "sizes", "transit",
-        "classes", "shares", "term_rate", "rate", "size", "cap",
-        "loss_factor", "max_backlog", "pass_fraction", "sink", "app",
-        "t", "backlog", "b", "fwd", "lost", "unr",
+        "device", "depth", "ingress", "peer", "members", "rates", "sizes",
+        "transit", "classes", "shares", "term_rate", "rate", "size", "cap",
+        "ingress_up", "loss_factor", "max_backlog", "pass_fraction", "sink",
+        "app", "t", "backlog", "b", "fwd", "lost", "unr",
         "gen", "decay", "wf", "wl", "wu", "gens",
-        "drop_rem", "tx_rem", "loss_rem", "down_rem", "unr_rem",
+        "drop_rem", "tx_rem", "loss_rem", "down_rem", "ingress_rem", "unr_rem",
     )
 
     def __init__(self, device, depth: int, now: float):
         self.device = device
         #: the device's hop index on its members' paths (upstream first)
         self.depth = depth
-        #: the node this device's link delivers to
-        self.peer = device.channel.peer_of(device).node
+        #: the device at the far end of this device's link, and its node
+        self.ingress = device.channel.peer_of(device)
+        self.peer = self.ingress.node
         #: members in start order, their inflow rates (bps) and the
         #: count of members per packet size, for the aggregate solve
         self.members: Dict[FluidFlow, _Member] = {}
@@ -233,6 +235,7 @@ class _Group:
         self.rate = 0.0
         self.size = 0.0
         self.cap = 0.0
+        self.ingress_up = True
         self.loss_factor = 1.0
         self.max_backlog = 0.0
         self.pass_fraction = 0.0
@@ -257,6 +260,7 @@ class _Group:
         self.tx_rem = 0.0
         self.loss_rem = 0.0
         self.down_rem = 0.0
+        self.ingress_rem = 0.0
         self.unr_rem = 0.0
 
 
@@ -494,11 +498,17 @@ class FlowEngine:
             groups = list(self._groups.values())
             moved = self.flows
         else:
-            # A channel names both of its ends, a device only itself; only
-            # a channel override can change a path's latency.
+            # A channel names both of its ends.  A device's state governs
+            # what it sends and what its channel peer sends into it, so
+            # both of its link's groups are re-solved too.  Only a channel
+            # override can change a path's latency.
             ends = getattr(link, "devices", None)
+            devices = ends
+            if devices is None:
+                channel = link.channel
+                devices = (link,) if channel is None else (link, channel.peer_of(link))
             groups = [
-                self._groups[device] for device in ends or (link,)
+                self._groups[device] for device in devices
                 if device in self._groups
             ]
             moved = [flow for group in groups for flow in group.members] if ends else []
@@ -564,7 +574,8 @@ class FlowEngine:
                 [flow.flow_id for flow in group.members],
                 group.t, group.backlog, group.b, group.fwd, group.lost,
                 group.unr, group.gen, group.decay, group.drop_rem,
-                group.tx_rem, group.loss_rem, group.down_rem, group.unr_rem,
+                group.tx_rem, group.loss_rem, group.down_rem,
+                group.ingress_rem, group.unr_rem,
             ]
             for device, group in self._groups.items()
         ]
@@ -634,6 +645,16 @@ class FlowEngine:
             passed = out * group.loss_factor
             lost = dropped + (out - passed)
             self._count(group, out, dropped, out - passed)
+            if not group.ingress_up:
+                # The far end is down: what the link carries is lost
+                # there, as the packet path's NetDevice.receive drops it.
+                group.ingress_rem += passed / size
+                whole = int(group.ingress_rem)
+                if whole:
+                    group.ingress_rem -= whole
+                    group.ingress.drops_down += whole
+                lost += passed
+                passed = 0.0
         group.backlog = backlog
         fwd = passed / total
         gone = lost / total
@@ -796,6 +817,7 @@ class FlowEngine:
         group.loss_factor = 1.0 - (channel.loss_rate if channel is not None else 0.0)
         cap = device.data_rate_bps if device.up else 0.0
         group.cap = cap
+        group.ingress_up = group.ingress.up
         queue = getattr(device, "queue", None)
         if queue is not None:
             max_backlog = queue.max_packets * group.size
@@ -804,7 +826,7 @@ class FlowEngine:
         else:
             max_backlog = 0.0
         group.max_backlog = max_backlog
-        if cap <= 0.0:
+        if cap <= 0.0 or not group.ingress_up:
             pass_fraction = 0.0
         elif rate > cap:
             pass_fraction = cap / rate

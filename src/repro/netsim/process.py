@@ -65,6 +65,15 @@ class SimFuture:
         else:
             self._callbacks.append(callback)
 
+    def add_waiter(self, process: "SimProcess") -> None:
+        """Suspend ``process`` on this future until it resolves.
+
+        A future that acts on its own before it resolves (a flood's
+        callback-paced emitter) overrides this to keep the process and
+        check :attr:`SimProcess.killed` before each action.
+        """
+        self.add_callback(process._resume)
+
     def succeed(self, value: Any = None) -> None:
         """Resolve the future with ``value`` and run callbacks now."""
         self._resolve(value, None)
@@ -148,21 +157,22 @@ class SimProcess(SimFuture):
     and ``sh -c "curl ... | sh"``.
     """
 
-    __slots__ = ("generator", "name", "_killed")
+    __slots__ = ("generator", "name", "killed")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = "proc"):
         super().__init__(sim)
         self.generator = generator
         self.name = name
-        self._killed = False
+        #: set by :meth:`kill` at once, before the throwing step runs
+        self.killed = False
         # Start on the next tick so the creator finishes its own event first.
         sim.schedule_now(self._step, None, None)
 
     def kill(self, error: Optional[BaseException] = None) -> None:
         """Terminate the process, raising ``ProcessKilled`` inside it."""
-        if self.done or self._killed:
+        if self.done or self.killed:
             return
-        self._killed = True
+        self.killed = True
         self.sim.schedule_now(self._step, None, error or ProcessKilled(self.name))
 
     def _step(self, send_value: Any, throw_error: Optional[BaseException]) -> None:
@@ -189,10 +199,10 @@ class SimProcess(SimFuture):
                 TypeError(f"process {self.name!r} yielded {target!r}, expected SimFuture"),
             )
             return
-        target.add_callback(self._resume)
+        target.add_waiter(self)
 
     def _resume(self, future: SimFuture) -> None:
-        if self._killed and not self.done:
+        if self.killed and not self.done:
             # kill() already queued a throwing step; ignore the wakeup.
             return
         if future.error is not None:

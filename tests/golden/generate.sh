@@ -1,8 +1,8 @@
 #!/bin/sh
 # Regenerate the golden outputs into DIR: three Figure 2 grids (one per
-# --flow tier) and the result + metrics JSON of four single runs.  Run
+# --flow tier) and the result + metrics JSON of six single runs.  Run
 # it from the repository root with the package importable (PYTHONPATH=src
-# or an editable install); it takes about 22 s.  To check the bytes:
+# or an editable install); it takes about 25 s.  To check the bytes:
 #
 #   sh tests/golden/generate.sh DIR
 #   (cd DIR && sha256sum -c "$OLDPWD/tests/golden/SHA256SUMS")
@@ -26,3 +26,10 @@ repro run --devs 8 --seed 2 \
 # link-change epochs byte for byte.
 repro run --devs 120 --seed 2 --churn dynamic --flow all \
     --json "$out/run-dynamic-flow-all.json" --metrics-out "$out/run-dynamic-flow-all.metrics.json"
+# Per-packet floods, as trains and one packet at a time, two of them
+# killed mid-attack by container crashes (flood_crash_plan.json).
+for train in 8 1; do
+    repro run --devs 6 --seed 3 --train "$train" --faults tests/golden/flood_crash_plan.json \
+        --json "$out/run-flood-crash-train$train.json" \
+        --metrics-out "$out/run-flood-crash-train$train.metrics.json"
+done

@@ -121,6 +121,29 @@ class TestFluidSolver:
         # The down transition re-linearized the solver.
         assert engine.epochs >= 3
 
+    def test_far_end_down_blackholes_the_hop(self):
+        """A partition downs only the router-side device of the sender's
+        link: the sender still transmits, and what arrives at the router
+        is dropped there, as NetDevice.receive counts it."""
+        sim, star, sender, receiver, sink = _star(uplink_bps=1e6)
+        engine = FlowEngine(sim, mode="all")
+        flow = engine.start_flow(sender, star.address_of(receiver), 7777, 9,
+                                 rate_bps=1e6, payload_size=512,
+                                 packet_size=WIRE)
+        link = star.links[sender]
+        sim.schedule(5.0, link.set_router_admin_up, False)
+        sim.schedule(8.0, link.set_router_admin_up, True)
+        sim.schedule(10.0, engine.stop_flow, flow)
+        sim.run(until=12.0)
+        second = 1e6 / 8.0
+        assert sink.total_bytes == pytest.approx(7 * second, abs=2.0)
+        assert link.router_device.drops_down == pytest.approx(
+            3 * second / WIRE, abs=1.0)
+        assert link.host_device.drops_down == 0
+        assert link.host_device.tx_packets == pytest.approx(
+            10 * second / WIRE, abs=1.0)
+        assert flow.dropped_bytes == pytest.approx(3 * second, abs=2.0)
+
     def test_rate_degrade_epoch_thins_delivery(self):
         sim, star, sender, receiver, sink = _star(uplink_bps=1e6)
         engine = FlowEngine(sim, mode="all")
@@ -277,6 +300,34 @@ class TestStalledSink:
         assert ddosim.star.total_queue_drops() == 0
         assert unreachable > 0
         assert unreachable == pytest.approx(dropped / WIRE, abs=1.0)
+
+
+class TestPartitionedDevs:
+    """Every Dev's link partitioned at the router for 8 s of a 20 s
+    attack: the fluid tiers must blackhole the floods as the packet tier
+    does, within the 1% flow-equivalence budget."""
+
+    @staticmethod
+    def _kbps(flow_mode):
+        from repro.faults import FaultPlan
+
+        config = SimulationConfig(
+            n_devs=4, seed=6, flood_flow=flow_mode, attack_duration=20.0,
+            faults=FaultPlan.from_dict({"faults": [
+                {"kind": "partition", "target": "dev*", "at": 62.0,
+                 "duration": 8.0},
+            ]}),
+        )
+        return DDoSim(config).run().attack.avg_received_kbps
+
+    @pytest.fixture(scope="class")
+    def packet_kbps(self):
+        return self._kbps("off")
+
+    @pytest.mark.parametrize("mode", ["all", "auto"])
+    def test_fluid_tiers_match_packet_tier(self, packet_kbps, mode):
+        assert packet_kbps == pytest.approx(842.016)
+        assert self._kbps(mode) == pytest.approx(packet_kbps, rel=0.01)
 
 
 class TestCrossoverModes:
