@@ -1,6 +1,6 @@
 #!/bin/sh
 # Regenerate the golden outputs into DIR: three Figure 2 grids (one per
-# --flow tier) and the result + metrics JSON of six single runs.  Run
+# --flow tier) and the result + metrics JSON of seven single runs.  Run
 # it from the repository root with the package importable (PYTHONPATH=src
 # or an editable install); it takes about 25 s.  To check the bytes:
 #
@@ -33,3 +33,7 @@ for train in 8 1; do
         --json "$out/run-flood-crash-train$train.json" \
         --metrics-out "$out/run-flood-crash-train$train.metrics.json"
 done
+# Per-packet trains into 5-packet queues: every 8-packet train is split
+# by drop-tail, which pins queue drops and the link byte counters.
+repro run --config tests/golden/small_queue.json \
+    --json "$out/run-small-queue.json" --metrics-out "$out/run-small-queue.metrics.json"
