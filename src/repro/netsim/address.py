@@ -98,7 +98,13 @@ class MacAddress(_IntAddress):
 class Ipv4Address(_IntAddress):
     """A 32-bit IPv4 address (dotted-quad text form)."""
 
+    __slots__ = ("is_multicast",)
     BITS = 32
+
+    def __init__(self, value: int):
+        super().__init__(value)
+        #: True for 224.0.0.0/4
+        self.is_multicast = (value >> 28) == 0xE
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Address":
@@ -114,11 +120,6 @@ class Ipv4Address(_IntAddress):
                 raise AddressError(f"malformed IPv4 address {text!r}")
             value = (value << 8) | octet
         return cls(value)
-
-    @property
-    def is_multicast(self) -> bool:
-        """True for 224.0.0.0/4."""
-        return (self._value >> 28) == 0xE
 
     @property
     def is_broadcast(self) -> bool:
@@ -139,7 +140,13 @@ class Ipv6Address(_IntAddress):
     :data:`ALL_DHCP_RELAY_AGENTS_AND_SERVERS`.
     """
 
+    __slots__ = ("is_multicast",)
     BITS = 128
+
+    def __init__(self, value: int):
+        super().__init__(value)
+        #: True for ff00::/8; set once, as the IP layer tests it per packet
+        self.is_multicast = (value >> 120) == 0xFF
 
     @classmethod
     def parse(cls, text: str) -> "Ipv6Address":
@@ -172,11 +179,6 @@ class Ipv6Address(_IntAddress):
     def groups(self) -> Tuple[int, ...]:
         """The eight 16-bit groups, most significant first."""
         return tuple((self._value >> shift) & 0xFFFF for shift in range(112, -16, -16))
-
-    @property
-    def is_multicast(self) -> bool:
-        """True for ff00::/8."""
-        return (self._value >> 120) == 0xFF
 
     @property
     def is_link_local(self) -> bool:

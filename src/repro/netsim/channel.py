@@ -57,16 +57,19 @@ class PointToPointChannel(Channel):
         self._base_delay = delay
         self._base_loss_rate = loss_rate
         self._base_rng = rng
+        # The link's one record of what it carried: the two link_tx
+        # counters are pulled from it when read, not bumped per packet.
         self.packets_carried = 0
+        self.bytes_carried = 0
         self.packets_lost = 0
         obs = sim.obs
         self._tracer = obs.tracer
-        self._tx_packets = obs.metrics.counter(
+        obs.metrics.counter(
             "link_tx_packets_total", help="packets carried by point-to-point links"
-        )
-        self._tx_bytes = obs.metrics.counter(
+        ).add_source(lambda: self.packets_carried)
+        obs.metrics.counter(
             "link_tx_bytes_total", help="bytes carried by point-to-point links"
-        )
+        ).add_source(lambda: self.bytes_carried)
         self._loss_packets = obs.metrics.counter(
             "link_lost_packets_total", help="packets lost to random medium loss"
         )
@@ -124,8 +127,7 @@ class PointToPointChannel(Channel):
             self._loss_packets.inc(lost)
         if count > 0:
             self.packets_carried += count
-            self._tx_packets.inc(count)
-            self._tx_bytes.inc(nbytes)
+            self.bytes_carried += nbytes
 
     def peer_of(self, device: "NetDevice") -> Optional["NetDevice"]:
         """The device at the other end of the link, if both are attached."""
@@ -134,9 +136,11 @@ class PointToPointChannel(Channel):
         return self.devices[1] if self.devices[0] is device else self.devices[0]
 
     def transmit(self, sender: "NetDevice", packet: Packet) -> None:
-        peer = self.peer_of(sender)
-        if peer is None:
-            raise RuntimeError("point-to-point channel is not fully wired")
+        try:
+            first, second = self.devices
+        except ValueError:
+            raise RuntimeError("point-to-point channel is not fully wired") from None
+        peer = second if first is sender else first
         count = packet.count
         if self.loss_rate > 0.0 and self._rng is not None:
             # One Bernoulli draw per member packet, so the RNG stream is
@@ -154,8 +158,7 @@ class PointToPointChannel(Channel):
                 packet = packet.copy()
                 packet.count = count = survivors
         self.packets_carried += count
-        self._tx_packets.inc(count)
-        self._tx_bytes.inc(packet.size * count)
+        self.bytes_carried += packet.size * count
         if self._tracer.enabled:
             self._tracer.emit(
                 "link.tx", self.sim.now,

@@ -60,29 +60,32 @@ class Ipv4Header(Header):
 
 
 class Ipv6Header(Header):
-    """40-byte IPv6 header."""
+    """40-byte IPv6 header.
 
-    __slots__ = ("src", "dst", "next_header", "hop_limit")
+    Stored under the IPv4 field names, which the IP layer reads on every
+    hop; ``next_header`` and ``hop_limit`` are the IPv6 aliases.
+    """
+
+    __slots__ = ("src", "dst", "protocol", "ttl")
     wire_size = 40
 
     def __init__(self, src: Ipv6Address, dst: Ipv6Address, next_header: int, hop_limit: int = 64):
         self.src = src
         self.dst = dst
-        self.next_header = next_header
-        self.hop_limit = hop_limit
-
-    # Uniform field names so the IP layer can treat v4/v6 alike.
-    @property
-    def protocol(self) -> int:
-        return self.next_header
+        self.protocol = next_header
+        self.ttl = hop_limit
 
     @property
-    def ttl(self) -> int:
-        return self.hop_limit
+    def next_header(self) -> int:
+        return self.protocol
 
-    @ttl.setter
-    def ttl(self, value: int) -> None:
-        self.hop_limit = value
+    @property
+    def hop_limit(self) -> int:
+        return self.ttl
+
+    @hop_limit.setter
+    def hop_limit(self, value: int) -> None:
+        self.ttl = value
 
     def __repr__(self) -> str:
         return f"<IPv6 {self.src}->{self.dst} nh={self.next_header} hl={self.hop_limit}>"

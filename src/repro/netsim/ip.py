@@ -39,6 +39,8 @@ class IpStack:
         # Per-family primary-address cache: every send() that omits a
         # source resolves one, so don't rescan the address dict each time.
         self._primary: Dict[bool, Optional[Address]] = {}
+        # Host routes: the per-destination egress, looked up once per hop
+        # as routes.get(destination, default_device).
         self.routes: Dict[Address, NetDevice] = {}
         self.default_device: Optional[NetDevice] = None
         self.forwarding = False
@@ -123,12 +125,6 @@ class IpStack:
             raise ValueError(f"{group} is not a multicast group")
         self.multicast_routes[group] = list(devices)
 
-    def _egress_for(self, destination: Address) -> Optional[NetDevice]:
-        device = self.routes.get(destination)
-        if device is None:
-            device = self.default_device
-        return device
-
     # ------------------------------------------------------------------
     # Send path
     # ------------------------------------------------------------------
@@ -155,9 +151,9 @@ class IpStack:
         if destination in self.addresses:
             self.sim.schedule_now(self._deliver, packet, header)
             return True
-        if isinstance(destination, Ipv6Address) and destination.is_multicast:
+        if type(destination) is Ipv6Address and destination.is_multicast:
             return self._send_multicast(packet, header)
-        device = self._egress_for(destination)
+        device = self.routes.get(destination, self.default_device)
         if device is None:
             self.dropped_no_route += packet.count
             return False
@@ -168,7 +164,7 @@ class IpStack:
         out the default device (the router fans it out further)."""
         if header.dst in self.multicast_groups:
             self.sim.schedule_now(self._deliver, packet.copy(), header)
-        device = self._egress_for(header.dst)
+        device = self.routes.get(header.dst, self.default_device)
         if device is None:
             self.dropped_no_route += packet.count
             return False
@@ -182,7 +178,7 @@ class IpStack:
         if not isinstance(header, (Ipv4Header, Ipv6Header)):
             return  # not IP; nothing above L2 is modelled on this node
         destination = header.dst
-        if isinstance(destination, Ipv6Address) and destination.is_multicast:
+        if type(destination) is Ipv6Address and destination.is_multicast:
             self._receive_multicast(packet, header, ingress)
             return
         if destination in self.addresses:
@@ -214,7 +210,7 @@ class IpStack:
             self.dropped_ttl += packet.count
             return
         header.ttl -= 1
-        device = self._egress_for(header.dst)
+        device = self.routes.get(header.dst, self.default_device)
         if device is None or device is ingress:
             self.dropped_no_route += packet.count
             return

@@ -31,9 +31,8 @@ class PacketSink(Application):
         self.total_bytes = 0
         #: received payload+header bytes per time bin (bin index -> bytes)
         self.bytes_per_bin: Dict[int, int] = defaultdict(int)
-        #: per-source accounting: (address, port) -> (packets, bytes)
-        self.per_source: Dict[Tuple[object, int], list] = {}
         #: NetFlow-style accounting: (src, src_port, dst_port) -> flow dict
+        #: (the one per-sender record; ``per_source`` sums it on read)
         self.flows: Dict[Tuple[object, int, int], dict] = {}
         self.first_packet_time: Optional[float] = None
         self.last_packet_time: Optional[float] = None
@@ -102,13 +101,6 @@ class PacketSink(Application):
             if self.first_packet_time is None:
                 self.first_packet_time = first_arrival
         self.last_packet_time = now
-        key = (ip_header.src, udp_header.src_port)
-        entry = self.per_source.get(key)
-        if entry is None:
-            self.per_source[key] = [count, size * count]
-        else:
-            entry[0] += count
-            entry[1] += size * count
         flow_key = (ip_header.src, udp_header.src_port, udp_header.dst_port)
         flow = self.flows.get(flow_key)
         if flow is None:
@@ -183,8 +175,7 @@ class PacketSink(Application):
     def settle_fluid(self, flow, nbytes: float, first: float, last: float) -> int:
         """Settle ``nbytes`` a :class:`~repro.netsim.flows.FluidFlow`
         delivered between ``first`` and ``last`` (arrival times) into its
-        ``per_source`` entry, its NetFlow ``flows`` record and
-        ``total_packets``.
+        NetFlow ``flows`` record and ``total_packets``.
 
         Fractional bytes and packets carry per flow (in ``_fluid``), so
         ``total_packets`` is exactly the sum of the records' packets.
@@ -204,13 +195,6 @@ class PacketSink(Application):
         packets = int(state[1])
         state[1] -= packets
         self.total_packets += packets
-        key = (flow.src_address, flow.src_port)
-        entry = self.per_source.get(key)
-        if entry is None:
-            self.per_source[key] = [packets, credited]
-        else:
-            entry[0] += packets
-            entry[1] += credited
         record = self.flows.get(flow_key)
         if record is None:
             self.flows[flow_key] = {
@@ -247,6 +231,20 @@ class PacketSink(Application):
         return [
             self.bytes_per_bin.get(index, 0) * factor for index in range(first, last)
         ]
+
+    @property
+    def per_source(self) -> Dict[Tuple[object, int], list]:
+        """Per-source accounting, (address, port) -> [packets, bytes]:
+        the sums of each sender's flow records, built when read."""
+        sources: Dict[Tuple[object, int], list] = {}
+        for (src, src_port, _dst_port), flow in self.flows.items():
+            entry = sources.get((src, src_port))
+            if entry is None:
+                sources[(src, src_port)] = [flow["packets"], flow["bytes"]]
+            else:
+                entry[0] += flow["packets"]
+                entry[1] += flow["bytes"]
+        return sources
 
     def distinct_sources(self) -> int:
         """Number of distinct (address, port) senders seen."""
@@ -311,7 +309,6 @@ class PacketSink(Application):
         self.total_packets = 0
         self.total_bytes = 0
         self.bytes_per_bin.clear()
-        self.per_source.clear()
         self.flows.clear()
         self.first_packet_time = None
         self.last_packet_time = None
