@@ -136,11 +136,9 @@ class PointToPointChannel(Channel):
         return self.devices[1] if self.devices[0] is device else self.devices[0]
 
     def transmit(self, sender: "NetDevice", packet: Packet) -> None:
-        try:
-            first, second = self.devices
-        except ValueError:
-            raise RuntimeError("point-to-point channel is not fully wired") from None
-        peer = second if first is sender else first
+        peer = self.peer_of(sender)
+        if peer is None:
+            raise RuntimeError("point-to-point channel is not fully wired")
         count = packet.count
         if self.loss_rate > 0.0 and self._rng is not None:
             # One Bernoulli draw per member packet, so the RNG stream is
