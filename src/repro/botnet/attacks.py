@@ -130,14 +130,19 @@ def _paced(sim, stats: AttackStats, duration: float, interval: float, send):
 
     The first emission runs in the process's own step, as the loop's
     first pass did, so a flood that ends or fails there never
-    suspends; the rest are :class:`_Emitter` callbacks.
+    suspends; the rest are :class:`_Emitter` callbacks.  ``finished_at``
+    is stamped however the flood ends, so a flood killed mid-attack (a
+    crash, a STOP order) reads the kill instant, as in
+    :func:`udp_plain_flow`.
     """
     stats.started_at = sim.now
     deadline = sim.now + duration
-    if sim.now < deadline:
-        send()
-        yield _Emitter(sim, send, interval, deadline)
-    stats.finished_at = sim.now
+    try:
+        if sim.now < deadline:
+            send()
+            yield _Emitter(sim, send, interval, deadline)
+    finally:
+        stats.finished_at = sim.now
     return stats
 
 

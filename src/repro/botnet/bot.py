@@ -133,7 +133,6 @@ def mirai_program(image: BinaryImage):
         if killed:
             ctx.log(f"mirai: fortified, killed {killed} processes")
 
-        ctx.process.attack_stats = []  # list[AttackStats], read by analyses
         attack_processes: List[SimProcess] = []
         failures = 0
         try:
@@ -221,7 +220,7 @@ def _dispatch(ctx, sock, line: str, attack_processes: List[SimProcess]) -> None:
             ctx.log(f"mirai: unsupported attack {method!r}")
             return
         stats = AttackStats()
-        ctx.process.attack_stats.append(stats)
+        ctx.container.attack_stats.append(stats)
         node = ctx.netns.node
         target = _parse_address(target_text)
         port = int(port_text)

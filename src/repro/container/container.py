@@ -54,6 +54,10 @@ class Container:
         self._next_pid = 1
         self.logs: List[str] = []
         self.started_at: Optional[float] = None
+        #: AttackStats of every flood launched from this container.  Kept
+        #: here, not on the launching process, so a flood killed with its
+        #: process (a crash, a restart) still counts as offered load.
+        self.attack_stats: List = []
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -296,12 +296,12 @@ class DevFleet:
         }
 
     def total_offered_attack(self) -> Tuple[int, int]:
-        """(bytes, packets) actually emitted by all bots' floods."""
+        """(bytes, packets) actually emitted by all bots' floods, those
+        killed mid-attack included."""
         total_bytes = 0
         total_packets = 0
         for dev in self.devs:
-            for process in dev.container.processes.values():
-                for stats in getattr(process, "attack_stats", ()):
-                    total_bytes += stats.bytes_sent
-                    total_packets += stats.packets_sent
+            for stats in dev.container.attack_stats:
+                total_bytes += stats.bytes_sent
+                total_packets += stats.packets_sent
         return total_bytes, total_packets

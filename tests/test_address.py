@@ -201,3 +201,61 @@ class TestCachedHash:
             assert result.returncode == 0, result.stderr.decode()
             hashes.add(result.stdout)
         assert len(hashes) == 2  # the seeds really salted the hash
+
+
+#: (class, text, multicast?): the DHCPv6 group, a unicast address, and
+#: the same pair in IPv4
+MULTICAST_CASES = [
+    (Ipv6Address, "ff02::1:2", True),
+    (Ipv6Address, "2001:db8:0:1::1", False),
+    (Ipv4Address, "224.0.0.1", True),
+    (Ipv4Address, "10.0.0.1", False),
+]
+
+
+def _allocated(cls, text):
+    """The same address, handed out by an allocator for its prefix."""
+    target = cls.parse(text)
+    if cls is Ipv6Address:
+        pool = Ipv6AddressAllocator(":".join(f"{g:x}" for g in target.groups[:4]))
+        pool._next_iid = (target.value & ((1 << 64) - 1)) - 1
+    else:
+        pool = Ipv4AddressAllocator(text)
+        pool._next_host = (target.value & 0xFFFF) - 1
+    address = pool.allocate()
+    assert address == target
+    return address
+
+
+class TestMulticastFlag:
+    """``is_multicast`` is computed once, when an address is constructed,
+    so every way of making one must set it."""
+
+    @pytest.mark.parametrize("cls,text,multicast", MULTICAST_CASES)
+    @pytest.mark.parametrize("make", [
+        lambda cls, text: cls.parse(text),
+        lambda cls, text: cls(cls.parse(text).value),
+        _allocated,
+        lambda cls, text: copy.copy(cls.parse(text)),
+        lambda cls, text: copy.deepcopy(cls.parse(text)),
+    ], ids=["parsed", "from-int", "allocated", "copied", "deep-copied"])
+    def test_flag_is_set(self, cls, text, multicast, make):
+        assert make(cls, text).is_multicast is multicast
+
+    @pytest.mark.parametrize("cls,text,multicast", MULTICAST_CASES)
+    def test_unpickled_in_another_process(self, cls, text, multicast):
+        blob = pickle.dumps(cls.parse(text))
+        script = (
+            "import pickle, sys\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(loaded.is_multicast)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            result = subprocess.run(
+                [sys.executable, "-c", script], input=blob, env=env,
+                capture_output=True, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            assert result.stdout.decode().strip() == str(multicast)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim.application import OnOffApplication
+from repro.netsim.flows import FlowEngine
 from repro.netsim.sink import PacketSink
 
 
@@ -158,3 +159,44 @@ class TestPacketSink:
         _, node_b, _ = two_hosts
         with pytest.raises(ValueError):
             PacketSink(node_b, bin_width=0)
+
+
+class TestPerSourceFromFlows:
+    """``per_source`` is built from the flow records: one sender port
+    talking to two destination ports is one source with two records."""
+
+    @staticmethod
+    def assert_one_source_of_two_flows(sink, source, src_port):
+        records = [record for (src, port, _dst_port), record in sink.flows.items()
+                   if (src, port) == (source, src_port)]
+        assert len(records) == 2 and all(r["packets"] > 0 for r in records)
+        assert sink.per_source == {(source, src_port): [
+            sum(r["packets"] for r in records), sum(r["bytes"] for r in records),
+        ]}
+        assert sink.distinct_sources() == 1
+        sink.reset()
+        assert sink.per_source == {}
+        assert sink.distinct_sources() == 0
+
+    def test_packet_path(self, sim, two_hosts):
+        node_a, node_b, star = two_hosts
+        sink = PacketSink(node_b)
+        sink.start()
+        target = star.address_of(node_b)
+        for dst_port, payload in ((7, 100), (8, 300), (7, 100)):
+            node_a.udp.send_datagram(None, target, dst_port, 9, payload)
+        sim.run()
+        self.assert_one_source_of_two_flows(sink, star.address_of(node_a), 9)
+
+    def test_settled_fluid_flows(self, sim, two_hosts):
+        node_a, node_b, star = two_hosts
+        sink = PacketSink(node_b)
+        sink.start()
+        engine = FlowEngine(sim, mode="all")
+        target = star.address_of(node_b)
+        for dst_port, rate in ((7777, 200e3), (7778, 100e3)):
+            flow = engine.start_flow(node_a, target, dst_port, 9, rate_bps=rate,
+                                     payload_size=512, packet_size=560)
+            sim.schedule(5.0, engine.stop_flow, flow)
+        sim.run(until=6.0)
+        self.assert_one_source_of_two_flows(sink, star.address_of(node_a), 9)

@@ -3,6 +3,7 @@ recovery semantics it relies on (bot backoff, C&C pruning, container
 restart, admin link state)."""
 
 import json
+import os
 import random
 
 import pytest
@@ -316,6 +317,26 @@ class TestContainerFaults:
         log = ddosim.fault_injector.log
         assert [e.kind for e in log] == ["memory_kill"]
         assert container.state == "running"  # the container survives
+
+
+class TestKilledFloodsStayOffered:
+    """``tests/golden/flood_crash_plan.json`` crashes dev000 at t=70.0 and
+    dev003 at t=95.5, mid-attack.  Their floods die with their bot
+    processes, but what they emitted was offered all the same."""
+
+    PLAN = os.path.join(os.path.dirname(__file__), "golden", "flood_crash_plan.json")
+
+    @pytest.mark.parametrize("train", [8, 1])
+    def test_offered_totals_count_every_flood(self, train):
+        config = SimulationConfig(n_devs=6, seed=3, flood_train=train,
+                                  faults=load_fault_plan(self.PLAN))
+        ddosim = DDoSim(config, observatory=Observatory.full())
+        attack = ddosim.run().attack
+        stops = ddosim.obs.tracer.events("attack.stop")
+        assert sorted(stop.t for stop in stops)[:2] == [70.0, 95.5]
+        assert attack.offered_bytes == sum(s.fields["bytes_sent"] for s in stops)
+        assert attack.offered_packets == sum(s.fields["packets_sent"] for s in stops)
+        assert attack.offered_bytes >= attack.received_bytes
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ emitter: a generator that sends and then sleeps on a fresh ``Timeout``
 per datagram, train or segment.  The emitter must be indistinguishable
 from it at every observable: what reaches the sink, what the bot counts,
 how many events run and how many are left queued — also when the flood
-is killed, including at the very instant an emission is due.
+is killed, including at the very instant an emission is due.  The one
+difference is deliberate: the reference stamps ``finished_at`` only when
+it returns, while a killed emitter flood stamps the kill instant.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,7 @@ def run_flood(implementation, vector="udpplain", *, duration, payload=512,
     target = star.address_of(victim)
     stats = AttackStats()
     processes = []
+    killed_at = []
     if kill_emission is not None:
         interval = emission_interval(vector, target, payload, rate, train)
         kill_at = start
@@ -161,12 +164,15 @@ def run_flood(implementation, vector="udpplain", *, duration, payload=512,
         sim.schedule(start, start_flood)
     else:
         start_flood()
+    def kill():
+        killed_at.append(sim.now)
+        processes[0].kill()
+
     if kill_at is not None:
         if kill_first:
-            sim.schedule_at(kill_at, lambda: processes[0].kill())
+            sim.schedule_at(kill_at, kill)
         else:
-            sim.schedule_at(
-                kill_at, lambda: sim.schedule_now(lambda: processes[0].kill()))
+            sim.schedule_at(kill_at, lambda: sim.schedule_now(kill))
     sim.run(until=until)
     (process,) = processes
     return {
@@ -179,7 +185,20 @@ def run_flood(implementation, vector="udpplain", *, duration, payload=512,
         "rst_sent": victim.tcp.rst_sent,
         "process": (process.done, type(process.error).__name__,
                     process.value is stats),
+        "killed_at": killed_at,
     }
+
+
+def assert_matches_reference(emitter, reference):
+    """Equal at every observable but a killed flood's ``finished_at``,
+    which is the kill instant for the emitter and stays 0.0 for the
+    reference loop."""
+    if emitter["process"][1] == "ProcessKilled":
+        (kill_instant,) = emitter["killed_at"]
+        assert emitter["stats"][3] == kill_instant
+        assert reference["stats"][3] == 0.0
+        emitter = dict(emitter, stats=emitter["stats"][:3] + (0.0,))
+    assert emitter == reference
 
 
 class TestPinnedKill:
@@ -193,6 +212,14 @@ class TestPinnedKill:
             assert result["stats"][0] == 1, implementation
             assert result["events_executed"] == 8, implementation
             assert result["process"] == (True, "ProcessKilled", False)
+        # (started_at, finished_at): the killed flood ran from 0.0 to 1.0
+        assert result["stats"][2:] == (0.0, 1.0)
+
+    def test_killed_flood_stamps_the_kill_instant(self):
+        result = run_flood("emitter", duration=10.0, payload=500,
+                           rate=4384.0, start=0.5, kill_at=2.25, until=30.0)
+        assert result["process"][1] == "ProcessKilled"
+        assert result["stats"][2:] == (0.5, 2.25)
 
     def test_completed_flood_resolves_with_its_stats(self):
         reference = run_flood("reference", duration=3.0, payload=500,
@@ -232,4 +259,4 @@ def flood_cases(draw):
 def test_emitter_matches_the_generator_loop(case):
     reference = run_flood("reference", **case)
     emitter = run_flood("emitter", **case)
-    assert emitter == reference
+    assert_matches_reference(emitter, reference)

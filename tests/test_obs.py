@@ -6,11 +6,14 @@ import pytest
 
 from repro.core import DDoSim, SimulationConfig
 from repro.core.telemetry import TelemetrySampler
+from repro.netsim.channel import PointToPointChannel
 from repro.netsim.simulator import Simulator
 from repro.obs import (
     EventTracer,
     MetricsRegistry,
+    NULL_INSTRUMENT,
     NULL_OBSERVATORY,
+    NULL_REGISTRY,
     NULL_TRACER,
     Observatory,
 )
@@ -51,6 +54,17 @@ class TestCounter:
             "vector=dns": 2.0,
             "vector=dhcp6": 1.0,
         }
+
+    def test_pulled_counter_reads_its_sources(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("carried_total")
+        carried = {"a": 3, "b": 4}
+        counter.add_source(lambda: carried["a"])
+        counter.add_source(lambda: carried["b"])
+        counter.inc(2)
+        assert counter.value == 9.0
+        carried["b"] = 10
+        assert registry.snapshot()["counters"]["carried_total"] == {"": 15.0}
 
     def test_label_arity_mismatch_raises(self):
         registry = MetricsRegistry()
@@ -266,3 +280,68 @@ class TestEndToEnd:
         document = json.loads(path.read_text())
         instants = [e for e in document["traceEvents"] if e.get("ph") == "i"]
         assert len({e["name"] for e in instants}) >= 3
+
+
+LINK_COUNTERS = ("link_tx_packets_total", "link_tx_bytes_total")
+
+
+def link_counters(ddosim):
+    counters = ddosim.obs.metrics.snapshot()["counters"]
+    return tuple(counters[name][""] for name in LINK_COUNTERS)
+
+
+def channel_sums(ddosim):
+    """(packets, bytes) over every channel, from the channels' own
+    records and, independently, from the devices that sent into them."""
+    channels = [link.channel for link in ddosim.star.links.values()]
+    carried = (sum(c.packets_carried for c in channels),
+               sum(c.bytes_carried for c in channels))
+    devices = [device for c in channels for device in c.devices]
+    sent = (sum(d.tx_packets for d in devices), sum(d.tx_bytes for d in devices))
+    return carried, sent
+
+
+class TestLinkCounters:
+    """The link counters are read from the channels' one record."""
+
+    @pytest.mark.parametrize("flow", ["off", "all"])
+    def test_counters_are_the_channel_sums(self, flow):
+        config = SimulationConfig(
+            n_devs=4, seed=2, attack_duration=10.0, recruit_timeout=30.0,
+            sim_duration=120.0, flood_flow=flow,
+        )
+        ddosim = DDoSim(config)
+        samples = []
+
+        def sample():
+            samples.append((ddosim.sim.now, link_counters(ddosim),
+                            channel_sums(ddosim)))
+            ddosim.sim.schedule(1.0, sample)
+
+        ddosim.sim.schedule(1.0, sample)
+        attack = ddosim.run().attack
+        start, end = attack.issued_at, attack.issued_at + attack.duration
+        during = [s for s in samples if start < s[0] < end]
+        assert len(during) >= 5
+        # The counters grow during the attack, so the snapshots see it.
+        assert during[-1][1][1] > during[0][1][1]
+        final = (ddosim.sim.now, link_counters(ddosim), channel_sums(ddosim))
+        for _t, counters, (carried, sent) in during + [final]:
+            assert counters == (float(carried[0]), float(carried[1]))
+            assert carried == sent  # the star's links are lossless
+
+    @pytest.mark.parametrize("name", LINK_COUNTERS)
+    def test_names_keep_their_kind(self, name):
+        sim = Simulator()
+        sim.attach_observatory(Observatory())
+        PointToPointChannel(sim)
+        with pytest.raises(ValueError):
+            sim.obs.metrics.gauge(name)
+
+    def test_null_registry_hands_out_the_null_instrument(self):
+        sim = Simulator()
+        assert sim.obs is NULL_OBSERVATORY
+        PointToPointChannel(sim)
+        for name in LINK_COUNTERS:
+            assert NULL_REGISTRY.counter(name) is NULL_INSTRUMENT
+        assert sim.obs.metrics.snapshot()["counters"] == {}
