@@ -57,19 +57,16 @@ class PointToPointChannel(Channel):
         self._base_delay = delay
         self._base_loss_rate = loss_rate
         self._base_rng = rng
-        # The link's one record of what it carried: the two link_tx
-        # counters are pulled from it when read, not bumped per packet.
         self.packets_carried = 0
-        self.bytes_carried = 0
         self.packets_lost = 0
         obs = sim.obs
         self._tracer = obs.tracer
-        obs.metrics.counter(
+        self._tx_packets = obs.metrics.counter(
             "link_tx_packets_total", help="packets carried by point-to-point links"
-        ).add_source(lambda: self.packets_carried)
-        obs.metrics.counter(
+        )
+        self._tx_bytes = obs.metrics.counter(
             "link_tx_bytes_total", help="bytes carried by point-to-point links"
-        ).add_source(lambda: self.bytes_carried)
+        )
         self._loss_packets = obs.metrics.counter(
             "link_lost_packets_total", help="packets lost to random medium loss"
         )
@@ -127,7 +124,8 @@ class PointToPointChannel(Channel):
             self._loss_packets.inc(lost)
         if count > 0:
             self.packets_carried += count
-            self.bytes_carried += nbytes
+            self._tx_packets.inc(count)
+            self._tx_bytes.inc(nbytes)
 
     def peer_of(self, device: "NetDevice") -> Optional["NetDevice"]:
         """The device at the other end of the link, if both are attached."""
@@ -156,7 +154,8 @@ class PointToPointChannel(Channel):
                 packet = packet.copy()
                 packet.count = count = survivors
         self.packets_carried += count
-        self.bytes_carried += packet.size * count
+        self._tx_packets.inc(count)
+        self._tx_bytes.inc(packet.size * count)
         if self._tracer.enabled:
             self._tracer.emit(
                 "link.tx", self.sim.now,

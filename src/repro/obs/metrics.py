@@ -28,34 +28,17 @@ def _label_key(label_names: Tuple[str, ...], values: LabelValues) -> str:
 
 
 class Counter:
-    """Monotonically increasing count.  ``inc`` is the only mutator.
+    """Monotonically increasing count.  ``inc`` is the only mutator."""
 
-    A counter can also be *pulled*: each ``add_source(fn)`` adds ``fn()``
-    to its value when it is read.  A hot path that already keeps its own
-    count (``PointToPointChannel.packets_carried``) registers that count
-    instead of bumping a second one per packet.
-    """
-
-    __slots__ = ("name", "label_key", "_value", "_sources")
+    __slots__ = ("name", "label_key", "value")
 
     def __init__(self, name: str, label_key: str = ""):
         self.name = name
         self.label_key = label_key
-        self._value = 0.0
-        self._sources: list = []
+        self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def add_source(self, fn: Callable[[], float]) -> None:
-        self._sources.append(fn)
-
-    @property
-    def value(self) -> float:
-        value = self._value
-        for fn in self._sources:
-            value += fn()
-        return value
+        self.value += amount
 
 
 class Gauge:
@@ -115,9 +98,6 @@ class NullInstrument:
         pass
 
     def set_function(self, fn) -> None:
-        pass
-
-    def add_source(self, fn) -> None:
         pass
 
     def labels(self, *values: str):
