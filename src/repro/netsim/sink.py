@@ -238,12 +238,9 @@ class PacketSink(Application):
         the sums of each sender's flow records, built when read."""
         sources: Dict[Tuple[object, int], list] = {}
         for (src, src_port, _dst_port), flow in self.flows.items():
-            entry = sources.get((src, src_port))
-            if entry is None:
-                sources[(src, src_port)] = [flow["packets"], flow["bytes"]]
-            else:
-                entry[0] += flow["packets"]
-                entry[1] += flow["bytes"]
+            entry = sources.setdefault((src, src_port), [0, 0])
+            entry[0] += flow["packets"]
+            entry[1] += flow["bytes"]
         return sources
 
     def distinct_sources(self) -> int:
