@@ -6,14 +6,11 @@ import pytest
 
 from repro.core import DDoSim, SimulationConfig
 from repro.core.telemetry import TelemetrySampler
-from repro.netsim.channel import PointToPointChannel
 from repro.netsim.simulator import Simulator
 from repro.obs import (
     EventTracer,
     MetricsRegistry,
-    NULL_INSTRUMENT,
     NULL_OBSERVATORY,
-    NULL_REGISTRY,
     NULL_TRACER,
     Observatory,
 )
@@ -318,19 +315,3 @@ class TestLinkCounters:
             # the star's links are lossless: all that is sent is carried
             assert counters == (float(carried), float(sent[1]))
             assert carried == sent[0]
-
-    @pytest.mark.parametrize("name", LINK_COUNTERS)
-    def test_names_keep_their_kind(self, name):
-        sim = Simulator()
-        sim.attach_observatory(Observatory())
-        PointToPointChannel(sim)
-        with pytest.raises(ValueError):
-            sim.obs.metrics.gauge(name)
-
-    def test_null_registry_hands_out_the_null_instrument(self):
-        sim = Simulator()
-        assert sim.obs is NULL_OBSERVATORY
-        PointToPointChannel(sim)
-        for name in LINK_COUNTERS:
-            assert NULL_REGISTRY.counter(name) is NULL_INSTRUMENT
-        assert sim.obs.metrics.snapshot()["counters"] == {}
