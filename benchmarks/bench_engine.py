@@ -331,30 +331,11 @@ def test_sweep_dispatch_static_sharding(benchmark):
     assert results == list(_SKEWED_GRID)
 
 
-def test_flight_recorder_note_throughput(benchmark):
-    """100k landmarks through the always-on ring + one dump.  The ring
-    (deque maxlen) must keep note() O(1) regardless of how far past
-    capacity the run gets."""
-    from repro.obs.recorder import FlightRecorder
-
-    def run():
-        recorder = FlightRecorder(capacity=256)
-        for index in range(100_000):
-            recorder.note("container.spawn", float(index), name="dev0")
-        dump = recorder.dump("bench", 100_000.0)
-        return recorder.noted, dump["evicted"], len(dump["notes"])
-
-    noted, evicted, retained = benchmark(run)
-    assert noted == 100_000
-    assert retained == 256
-    assert evicted == 100_000 - 256
-
-
 def test_traced_e2e_run(benchmark):
-    """The tiny end-to-end scenario under ``Observatory.full()`` —
-    tracer and recorder live, causal tree derived from the trace.
-    Tracks the price of full instrumentation on a real run, and asserts
-    the tree still reconstructs (recruitment chain + flood delivery)."""
+    """The tiny end-to-end scenario under ``Observatory.full()`` — the
+    tracer live, the causal tree derived from the trace.  Tracks the
+    price of full instrumentation on a real run, and asserts the tree
+    still reconstructs (recruitment chain + flood delivery)."""
     from collections import Counter
 
     from repro.core.config import SimulationConfig

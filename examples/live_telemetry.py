@@ -10,9 +10,8 @@ pre-attack phase, the flood, cooldown — as an ASCII timeline.
 
 It also runs fully instrumented (``Observatory.full()``) to show the
 rest of the observability layer: the typed event trace — when each
-device was recruited, when exploits landed — the causal tree derived
-from it that chains exploit → recruit → flood train, and the always-on
-flight recorder.
+device was recruited, when exploits landed — and the causal tree
+derived from it that chains exploit → recruit → flood train.
 
 Run:  python examples/live_telemetry.py
 """
@@ -102,14 +101,6 @@ def main() -> None:
     delivered = sum(train["packets_delivered"] for train in trains)
     print(f"flood attribution: {len(trains)} trains sent {sent} packets, "
           f"{delivered} reached the sink")
-
-    # The flight recorder rides along in every run (even the default
-    # Observatory); nothing died here, so the ring holds landmarks but
-    # no dump was forced.
-    recorder = ddosim.obs.recorder
-    print(f"\nflight recorder: {recorder.noted} landmarks noted, "
-          f"{len(recorder.recent())} in the ring, "
-          f"{len(recorder.dumps)} dumps (none forced — clean run)")
 
 
 if __name__ == "__main__":

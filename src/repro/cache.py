@@ -10,12 +10,15 @@ straight from disk without building a simulator at all.
 
 **Key derivation.**  A run's key is the SHA-256 of the canonical config
 JSON (:func:`repro.serialization.config_to_canonical_json` — sorted
-keys, tuples normalised, fault plans embedded) plus a *code salt*: a
-hash over every ``repro`` source file.  Simulation outcomes depend only
-on (config, code) — per-run RNGs are seeded from ``config.seed`` — so
-two runs with equal keys are bit-identical and any edit under
-``src/repro`` invalidates the whole store at once, which is cheap
-insurance against serving results from a stale engine.
+keys, tuples normalised, fault plans embedded), the sweep's *point
+function* and a *code salt*: a hash over every ``repro`` source file.
+Simulation outcomes depend only on (config, code) — per-run RNGs are
+seeded from ``config.seed`` — so two runs with equal keys are
+bit-identical and any edit under ``src/repro`` invalidates the whole
+store at once, which is cheap insurance against serving results from a
+stale engine.  The point function decides what a blob holds (Figure 4
+stores two results, the fault sweep its injector counts in ``extra``),
+so two sweeps that build an equal config never share one entry.
 
 **Storage.**  JSON blobs under ``<root>/objects/<k[:2]>/<key>.json``,
 each holding the config echo, the run's :class:`RunResult` list, its
@@ -106,14 +109,18 @@ def code_salt() -> str:
     return salt
 
 
-def run_key(config: SimulationConfig, salt: Optional[str] = None) -> str:
-    """Content address for one run: SHA-256 over (canonical config
-    JSON, code salt).  Equal configs under the same code hash equal."""
+def run_key(config: SimulationConfig, salt: Optional[str] = None,
+            point: str = "") -> str:
+    """Content address for one run: SHA-256 over (code salt, point
+    function name, canonical config JSON).  Equal configs of the same
+    point function under the same code hash equal."""
     from repro.serialization import config_to_canonical_json
 
     body = config_to_canonical_json(config)
     digest = hashlib.sha256()
     digest.update((salt if salt is not None else code_salt()).encode())
+    digest.update(b"\x00")
+    digest.update(point.encode())
     digest.update(b"\x00")
     digest.update(body.encode())
     return digest.hexdigest()
@@ -172,15 +179,18 @@ class RunCache:
         return os.path.join(self.root, "stats.json")
 
     # -- lookup / store -------------------------------------------------
-    def key_for(self, config: SimulationConfig) -> str:
-        return run_key(config, salt=self.salt)
+    # ``point`` names the sweep's point function (module-qualified, as
+    # :func:`repro.parallel.run_cached` passes it); see :func:`run_key`.
+    def key_for(self, config: SimulationConfig, point: str = "") -> str:
+        return run_key(config, salt=self.salt, point=point)
 
-    def describe(self, config: SimulationConfig) -> str:
+    def describe(self, config: SimulationConfig, point: str = "") -> str:
         """Short (12-hex) key prefix for progress lines and telemetry —
         long enough to find the blob, short enough to read."""
-        return self.key_for(config)[:12]
+        return self.key_for(config, point)[:12]
 
-    def get(self, config: SimulationConfig) -> Optional[CachedRun]:
+    def get(self, config: SimulationConfig,
+            point: str = "") -> Optional[CachedRun]:
         """The stored run for ``config``, or ``None`` on a miss.
 
         A hit re-touches the blob (LRU recency) and deserializes without
@@ -188,7 +198,7 @@ class RunCache:
         """
         from repro.serialization import result_from_dict
 
-        key = self.key_for(config)
+        key = self.key_for(config, point)
         path = self._blob_path(key)
         try:
             with open(path, encoding="utf-8") as handle:
@@ -220,7 +230,8 @@ class RunCache:
         self._tracer.emit("cache.hit", 0.0, key=key, results=len(run.results))
         return run
 
-    def put(self, config: SimulationConfig, run: CachedRun) -> str:
+    def put(self, config: SimulationConfig, run: CachedRun,
+            point: str = "") -> str:
         """Store one finished point atomically; returns its key.
 
         Write-temp-then-rename in the blob's own directory, so parallel
@@ -229,7 +240,7 @@ class RunCache:
         """
         from repro.serialization import config_to_dict, result_to_dict
 
-        key = self.key_for(config)
+        key = self.key_for(config, point)
         path = self._blob_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         blob = {

@@ -12,8 +12,8 @@ Commands:
 * ``epidemic``    — worm-spread propagation + SI fit (use case V-A2).
 * ``report``      — self-contained HTML report of one run (lifecycle
   timeline, the attack tree derived from the event trace, sparklines,
-  flight-recorder dumps) or of the cached Figure 2 sweep, built on the
-  same single-run flags; ``--flows`` adds a NetFlow-style JSONL export.
+  fault injections) or of the cached Figure 2 sweep, built on the same
+  single-run flags; ``--flows`` adds a NetFlow-style JSONL export.
 * ``cache``       — run-cache maintenance: ``stats``, ``clear``, ``gc``.
 * ``lint``        — determinism linter (``repro.simlint``): the SIM1xx
   rules; nonzero exit on violations (the CI gate).  ``--fix`` applies
@@ -33,8 +33,10 @@ and ``--faults PATH`` to arm a :mod:`repro.faults` plan against it.
 Chrome ``trace_event`` file — load it at
 ``chrome://tracing`` or https://ui.perfetto.dev) and ``--metrics-out``
 (metrics-registry snapshot, byte-identical with or without
-``--trace-out``).  Every output path is opened for writing before any
-work starts, so a bad path fails at once, not after a run.
+``--trace-out``).  A run that raises or is interrupted (^C, SIGTERM)
+still writes ``--trace-out`` with every event traced so far.  Every
+output path is opened for writing before any work starts, so a bad
+path fails at once, not after a run.
 """
 
 from __future__ import annotations
@@ -146,9 +148,9 @@ def _cache_from_args(args: argparse.Namespace):
 
 def _telemetry_from_args(args: argparse.Namespace, label: str):
     """The sweep's :class:`repro.parallel.SweepTelemetry` — chatty under
-    ``--progress``, quiet otherwise.  Always constructed, so every sweep
-    parent carries a flight recorder that dumps a post-mortem on worker
-    death, a failed point, or interruption (^C / SIGTERM)."""
+    ``--progress``, quiet otherwise.  Always constructed, so a pooled
+    sweep (``--jobs`` > 1) reports a worker death, a failed point, or an
+    interruption (^C / SIGTERM) on stderr."""
     from repro.parallel import SweepTelemetry
 
     return SweepTelemetry(label=label,
@@ -161,23 +163,18 @@ _OUTPUT_ARGS = ("json", "csv", "out", "flows", "trace_out", "metrics_out")
 
 def _check_writable(*paths: Optional[str]) -> None:
     """Fail before the (possibly long) run, not after, on bad out paths.
-    Append mode: a file from an earlier run survives a run that fails."""
+    Append mode: a file from an earlier run survives a run that fails.
+    The exception is ``run --trace-out``: a failed or interrupted run
+    writes it with the events traced so far (see :func:`cmd_run`)."""
     for path in paths:
         if path:
             with open(path, "a", encoding="utf-8"):
                 pass
 
 
-def _dump_interrupt(ddosim) -> None:
-    """^C / SIGTERM post-mortem: force the run's always-on flight
-    recorder out to stderr so an interrupted run leaves a trail."""
-    try:
-        recorder = ddosim.obs.recorder
-        record = recorder.dump("run.interrupted", ddosim.sim.now)
-        if record is not None:
-            print(recorder.format_dump(record), file=sys.stderr)
-    except Exception:  # the post-mortem must never mask the interrupt
-        pass
+def _write_trace(ddosim: DDoSim, path: str) -> None:
+    ddosim.obs.write_trace_chrome(path)
+    print(f"wrote {path} ({sum(ddosim.obs.tracer.counts().values())} events)")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -191,16 +188,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     ddosim = DDoSim(_config_from_args(args), observatory=observatory)
     try:
         result = ddosim.run()
-    except KeyboardInterrupt:
-        _dump_interrupt(ddosim)
-        return 130
+    except BaseException:
+        # The post-mortem of a run that raised or was interrupted (^C,
+        # SIGTERM): its trace up to that instant.  The error propagates;
+        # main() turns an interrupt into exit code 130.
+        if trace_out:
+            _write_trace(ddosim, trace_out)
+        raise
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(result_to_json(result))
         print(f"wrote {args.json}")
     if trace_out:
-        ddosim.obs.write_trace_chrome(trace_out)
-        print(f"wrote {trace_out} ({sum(ddosim.obs.tracer.counts().values())} events)")
+        _write_trace(ddosim, trace_out)
     if metrics_out:
         ddosim.obs.write_metrics_json(metrics_out)
         print(f"wrote {metrics_out}")
@@ -243,11 +243,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         config = _config_from_args(args)
         ddosim = DDoSim(config, observatory=Observatory.full())
         result = ddosim.run()
-        obs = ddosim.obs
         records = ddosim.tserver.sink.flow_records()
         html = render_run_report(
-            result, tracer=obs.tracer, recorder=obs.recorder,
-            flow_records=records,
+            result, tracer=ddosim.obs.tracer, flow_records=records,
             title=f"DDoSim run (devs={config.n_devs}, seed={config.seed}, "
                   f"churn={config.churn})",
         )
@@ -635,8 +633,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _check_writable(*(getattr(args, name, None) for name in _OUTPUT_ARGS))
     try:
-        # SIGTERM gets the same graceful path as ^C: commands catch
-        # KeyboardInterrupt, dump their flight recorder, and exit 130.
+        # SIGTERM gets the same path as ^C: a KeyboardInterrupt that
+        # ends the command with exit code 130.
         signal_module.signal(signal_module.SIGTERM, _sigterm_to_interrupt)
     except (ValueError, OSError):  # not the main thread / no signals
         pass

@@ -33,10 +33,6 @@ class ContainerRuntime:
         self._id_counter = itertools.count(1)
         obs = sim.obs
         self._tracer = obs.tracer
-        # Container lifecycle is low-rate, so every transition is noted
-        # into the always-on flight recorder: a post-mortem dump shows
-        # the churn run-up to whatever died.
-        self._recorder = obs.recorder
         self._spawn_counter = obs.metrics.counter(
             "container_spawns_total", help="containers started"
         )
@@ -90,10 +86,6 @@ class ContainerRuntime:
             )
         container.start()
         self._spawn_counter.inc()
-        if self._recorder.enabled:
-            self._recorder.note(
-                "container.spawn", self.sim.now, container=container.name
-            )
         if self._tracer.enabled:
             self._tracer.emit(
                 "container.spawn", self.sim.now,
@@ -111,10 +103,6 @@ class ContainerRuntime:
             pair.detach()
         if was_running:
             self._stop_counter.inc()
-            if self._recorder.enabled:
-                self._recorder.note(
-                    "container.stop", self.sim.now, container=container.name
-                )
             if self._tracer.enabled:
                 self._tracer.emit(
                     "container.stop", self.sim.now, container=container.name
@@ -143,10 +131,6 @@ class ContainerRuntime:
         self.sim.obs.metrics.counter(
             "container_restarts_total", help="containers restarted (fresh boot)"
         ).inc()
-        if self._recorder.enabled:
-            self._recorder.note(
-                "container.restart", self.sim.now, container=container.name
-            )
         if self._tracer.enabled:
             self._tracer.emit(
                 "container.restart", self.sim.now, container=container.name

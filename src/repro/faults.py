@@ -385,14 +385,6 @@ class FaultInjector:
             ).labels(spec.kind).inc()
         if obs.tracer.enabled:
             obs.tracer.emit(f"fault.{action}", sim.now, kind=spec.kind, target=name)
-        recorder = obs.recorder
-        if recorder.enabled:
-            recorder.note(f"fault.{action}", sim.now, fault=spec.kind, target=name)
-            if action == "inject":
-                # Every injection force-dumps the flight recorder: the
-                # dump captures the pre-fault run-up plus the metric
-                # delta since the previous dump.
-                recorder.dump(f"fault.{spec.kind}", sim.now, target=name)
 
     def _inject(self, spec: FaultSpec, name: str, obj) -> None:
         self._record(spec, name, "inject")

@@ -103,7 +103,7 @@ class Simulator:
         self._live = 0        # scheduled, not yet fired or cancelled
         self._tombstones = 0  # cancelled but still queued
         self.events_executed: int = 0
-        #: observability hub (registry + tracer + recorder); the
+        #: observability hub (registry + tracer); the
         #: default null observatory has a null tracer, so run() emits no
         #: ``sched.fire`` events.
         self.obs = NULL_OBSERVATORY
@@ -219,15 +219,6 @@ class Simulator:
         self._stopped = False
         try:
             self._run_heap(until)
-        except Exception:
-            # An exception escaping the event loop (a failed assertion, a
-            # crashing callback) force-dumps the flight recorder so the
-            # post-mortem has the run-up, not a blank trace.  dump() never
-            # raises; the original error propagates untouched.
-            recorder = getattr(self.obs, "recorder", None)
-            if recorder is not None and recorder.enabled:
-                recorder.dump("sim.exception", self._now)
-            raise
         finally:
             self._running = False
         if until is not None and not self._stopped and self._now < until:

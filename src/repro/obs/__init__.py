@@ -3,13 +3,11 @@
 The instruments, one facade:
 
 * :mod:`repro.obs.metrics` — a metrics registry (:class:`Counter`,
-  :class:`Gauge`, labeled families) with snapshot/delta reads;
+  :class:`Gauge`, labeled families) with snapshot reads;
 * :mod:`repro.obs.trace` — a structured event tracer (bounded per-type
   ring buffers of typed events stamped with virtual time and emission
   order) with a Chrome ``trace_event`` exporter; it is the one record of
   a run's lifecycle;
-* :mod:`repro.obs.recorder` — an always-on bounded flight recorder
-  force-dumped on faults, crashes, and sweep-worker death;
 * :mod:`repro.obs.report` — the causal recruitment-and-attack tree
   derived from the event trace (:func:`causal_tree`), self-contained
   HTML reports and NetFlow-style flow exports (``repro report``).
@@ -35,7 +33,6 @@ from repro.obs.metrics import (
     NullRegistry,
 )
 from repro.obs.observatory import NULL_OBSERVATORY, NullObservatory, Observatory
-from repro.obs.recorder import FlightRecorder, NULL_RECORDER, NullRecorder
 from repro.obs.report import (
     causal_tree,
     flows_jsonl,
@@ -53,17 +50,14 @@ from repro.obs.trace import (
 __all__ = [
     "Counter",
     "EventTracer",
-    "FlightRecorder",
     "Gauge",
     "MetricsRegistry",
     "NULL_INSTRUMENT",
     "NULL_OBSERVATORY",
-    "NULL_RECORDER",
     "NULL_REGISTRY",
     "NULL_TRACER",
     "NullInstrument",
     "NullObservatory",
-    "NullRecorder",
     "NullRegistry",
     "NullTracer",
     "Observatory",

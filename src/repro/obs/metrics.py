@@ -4,8 +4,7 @@ Prometheus-shaped but in-process and virtual-time friendly: components
 grab their instruments once (``registry.counter("queue_drops_total")``)
 and bump them on the hot path; :meth:`MetricsRegistry.snapshot` reads
 the whole registry as a dict at any point of a run (``run
---metrics-out`` writes it as JSON).  A *delta* between two snapshots
-gives per-window changes, which the flight recorder's dumps carry.
+--metrics-out`` writes it as JSON).
 
 Instrumented code must stay near-zero-cost when nobody is measuring:
 :data:`NULL_REGISTRY` hands out a shared :class:`NullInstrument` whose
@@ -209,21 +208,6 @@ class MetricsRegistry:
             out[family.kind + "s"][name] = {
                 key: child.value for key, child in sorted(family.children.items())
             }
-        return out
-
-    @staticmethod
-    def delta(before: Dict[str, Dict], after: Dict[str, Dict]) -> Dict[str, Dict]:
-        """Counter differences between two snapshots.
-
-        Gauges are point-in-time and carry over from ``after`` unchanged.
-        """
-        out: Dict[str, Dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for name, children in after.get("counters", {}).items():
-            prior = before.get("counters", {}).get(name, {})
-            out["counters"][name] = {
-                key: value - prior.get(key, 0.0) for key, value in children.items()
-            }
-        out["gauges"] = dict(after.get("gauges", {}))
         return out
 
 

@@ -1,49 +1,37 @@
-"""The Observatory: one object bundling registry + tracer + recorder.
+"""The Observatory: one object bundling the registry and the tracer.
 
 Every :class:`repro.netsim.simulator.Simulator` carries an observatory
 (``sim.obs``); instrumented layers reach it through their simulator
 reference, so wiring the whole stack is a single
 ``sim.attach_observatory(...)`` call.  The default is
-:data:`NULL_OBSERVATORY` — null registry, null tracer, null recorder —
-under which no layer records anything.
+:data:`NULL_OBSERVATORY` — null registry, null tracer — under which no
+layer records anything.
 
 ``Observatory()`` (the :class:`DDoSim` default) carries a *real* registry
 but a null tracer: callback gauges and low-rate counters work, telemetry
-sources from the registry, and per-event tracing stays off.  It also
-always carries a :class:`repro.obs.recorder.FlightRecorder` — the
-recorder only sees low-rate landmark notes, so it is cheap enough to be
-always-on and post-mortems never start blank.  ``Observatory.full()``
-adds the event tracer (``sched.fire`` and every layer's events), for
-trace exports, reports and the causal tree
+sources from the registry, and per-event tracing stays off.
+``Observatory.full()`` adds the event tracer (``sched.fire`` and every
+layer's events), for trace exports, reports and the causal tree
 (:func:`repro.obs.report.causal_tree`).  The tracer never touches the
-registry, so both observatories give the same metrics snapshot.
+registry, so both observatories give the same metrics snapshot.  The
+tracer is also the post-mortem: after a run raises,
+``ddosim.obs.tracer.events()`` still holds every event up to the failure.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY, NullRegistry
-from repro.obs.recorder import FlightRecorder, NULL_RECORDER
+from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.trace import EventTracer, NULL_TRACER
 
 
 class Observatory:
     """Aggregation point for one simulation's measurement instruments."""
 
-    def __init__(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer=None,
-        recorder=None,
-    ):
+    def __init__(self, metrics: Optional[MetricsRegistry] = None, tracer=None):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Always-on by default; pass NULL_RECORDER explicitly to disable.
-        self.recorder = recorder if recorder is not None else FlightRecorder()
-        if self.recorder.enabled and self.recorder.metrics is None \
-                and not isinstance(self.metrics, NullRegistry):
-            self.recorder.metrics = self.metrics
 
     @classmethod
     def full(cls) -> "Observatory":
@@ -69,7 +57,6 @@ class NullObservatory:
 
     metrics = NULL_REGISTRY
     tracer = NULL_TRACER
-    recorder = NULL_RECORDER
 
 
 NULL_OBSERVATORY = NullObservatory()

@@ -8,7 +8,7 @@ deterministic as the trace that CI's double-run gate already checks.
 
 ``repro report`` renders everything the observability stack collected —
 result summary, lifecycle timeline, that tree, received-rate sparkline,
-fault markers and flight-recorder dumps — into a single HTML file with
+fault markers and the fault table — into a single HTML file with
 **no external assets**: inline CSS, inline SVG, zero JavaScript.  The
 file opens from disk on an air-gapped machine and attaches to a bug
 report whole.
@@ -50,7 +50,6 @@ th { background: #eef2f7; }
 .kind { font-weight: 600; color: #16213e; }
 .meta { color: #64748b; font-size: .85em; }
 .status-failed, .status-crashed, .status-timeout { color: #b5483b; }
-pre { background: #f1f5f9; padding: .8em; overflow-x: auto; font-size: .8em; }
 svg { display: block; margin: .5em 0; }
 """
 
@@ -281,15 +280,6 @@ def _tree_html(nodes: Sequence[dict]) -> str:
     return f"<ul>{''.join(items)}</ul>"
 
 
-def _dump_sections(recorder) -> str:
-    if recorder is None or not getattr(recorder, "dumps", None):
-        return "<p class='meta'>(no flight-recorder dumps — nothing crashed)</p>"
-    return "".join(
-        f"<pre>{_escape(recorder.format_dump(record))}</pre>"
-        for record in recorder.dumps
-    )
-
-
 def _page(title: str, sections: Sequence[str]) -> str:
     return (
         "<!DOCTYPE html><html><head><meta charset='utf-8'>"
@@ -301,16 +291,15 @@ def _page(title: str, sections: Sequence[str]) -> str:
 def render_run_report(
     result,
     tracer=None,
-    recorder=None,
     flow_records: Sequence[dict] = (),
     title: str = "DDoSim run report",
 ) -> str:
     """One run → one self-contained HTML page.
 
     ``result`` is the run's :class:`repro.core.results.RunResult`;
-    ``tracer``/``recorder`` are the matching observatory parts and
-    ``flow_records`` the TServer sink's (each optional — missing layers
-    render as a note, not an error).
+    ``tracer`` is the matching observatory's and ``flow_records`` the
+    TServer sink's (each optional — missing layers render as a note, not
+    an error).
     """
     traced = tracer is not None and tracer.enabled
     tree = causal_tree(tracer, flow_records) if traced else []
@@ -341,7 +330,6 @@ def render_run_report(
         "<h2>Fault injections</h2>",
         _rows_table(fault_rows) if fault_rows
         else "<p class='meta'>(none)</p>",
-        "<h2>Flight-recorder dumps</h2>", _dump_sections(recorder),
     ]
     return _page(title, sections)
 

@@ -39,7 +39,6 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SimulationConfig
-from repro.obs.recorder import FlightRecorder
 
 
 def _mp_context():
@@ -89,7 +88,7 @@ def run_map(
     in ``items``).
 
     ``telemetry`` (a :class:`SweepTelemetry`) receives a ``point_done``
-    per completed item, and a flight-recorder dump on every worker
+    per completed item, and a forced progress line on every worker
     death, failed point or interruption.  Purely observational: results
     are identical with and without it.
     """
@@ -110,8 +109,8 @@ def run_map(
     try:
         return _pool_map(fn, items, indices, jobs, on_complete, telemetry)
     except KeyboardInterrupt:
-        # Interrupted sweep parent: dump the telemetry flight recorder
-        # so the run-up survives the ^C / SIGTERM, then propagate.
+        # Interrupted sweep parent: say so on the progress stream, even
+        # when quiet, then propagate the ^C / SIGTERM.
         if telemetry is not None:
             telemetry.interrupted("KeyboardInterrupt")
         raise
@@ -159,8 +158,7 @@ def _pool_map(fn, items: Sequence, indices: Sequence[int], jobs: int,
         except BaseException as exc:
             _abandon(pool)
             # A raising point is deterministic, so a retry would raise
-            # again: surface it (with the post-mortem) like the serial
-            # path would.
+            # again: surface it like the serial path would.
             if telemetry is not None and not isinstance(exc, KeyboardInterrupt):
                 telemetry.worker_died(exc)
             raise
@@ -200,16 +198,13 @@ class SweepTelemetry:
 
     This is *harness* telemetry — it measures the sweep machinery in
     wall time, not the simulation, so it lives outside the determinism
-    contract: enabling ``--progress`` cannot change a single row.  Every
-    progress event is noted (wall-clock offsets from :meth:`begin`) into
-    a sweep-local :class:`FlightRecorder` that dumps itself when a
-    worker dies or the sweep parent is interrupted, so a crashed sweep
-    leaves a post-mortem of the points that led up to the death.
+    contract: enabling ``--progress`` cannot change a single row.
 
-    ``quiet=True`` suppresses routine progress lines but keeps recording
-    (and still prints worker-death/failure/interrupt diagnostics) — sweep
-    CLIs run with a quiet telemetry unless ``--progress`` is given, so
-    an interrupted or failed sweep always leaves its post-mortem.
+    ``quiet=True`` suppresses routine progress lines but still prints
+    the worker-death, worker-lost and interrupt lines of the pool path —
+    sweep CLIs run with a quiet telemetry unless ``--progress`` is
+    given, so an interrupted or failed pooled sweep always says what
+    happened.
     """
 
     def __init__(self, label: str = "sweep", stream=None,
@@ -218,7 +213,6 @@ class SweepTelemetry:
         self.stream = stream if stream is not None else sys.stderr
         self.straggler_factor = straggler_factor
         self.quiet = quiet
-        self.recorder = FlightRecorder()
         self.total = 0
         self.jobs = 1
         self.done = 0
@@ -255,15 +249,11 @@ class SweepTelemetry:
         self.total = total
         self.jobs = max(jobs, 1)
         self._t0 = time.monotonic()  # simlint: disable=SIM101
-        self.recorder.note("sweep.begin", 0.0, total=total, jobs=self.jobs)
         self._line(f"{total} points, jobs={self.jobs}")
 
     def point_cached(self, index: int, key: Optional[str] = None) -> None:
         self.done += 1
         self.cached += 1
-        t = self._now()
-        self.recorder.note("sweep.cache_hit", t, index=index,
-                           **({"key": key} if key else {}))
         suffix = f" (key {key})" if key else ""
         self._line(f"point {index}: cache hit{suffix} "
                    f"[{self.done}/{self.total}]")
@@ -281,10 +271,6 @@ class SweepTelemetry:
         self.computed += 1
         self._elapsed.append(elapsed)
         rss_text = self._track_rss(rss_kib)
-        t = self._now()
-        self.recorder.note("sweep.point_done", t, index=index,
-                           elapsed=round(elapsed, 3),
-                           **({"rss_kib": rss_kib} if rss_kib else {}))
         straggler = ""
         if len(self._elapsed) >= 3:
             median = sorted(self._elapsed)[len(self._elapsed) // 2]
@@ -298,39 +284,20 @@ class SweepTelemetry:
 
     def worker_died(self, error: BaseException) -> None:
         """The sweep is failing — a point raised, or a worker died again
-        on the retry: force-dump the flight recorder before it does."""
-        t = self._now()
-        self.recorder.note("sweep.worker_death", t, error=repr(error))
-        dump = self.recorder.dump("sweep.worker_death", t, error=repr(error))
+        on the retry: say so before the error propagates."""
         self._line(f"worker died: {error!r}", force=True)
-        if dump is not None:
-            self._line(f"flight recorder: {len(dump['notes'])} notes "
-                       f"preserved for post-mortem", force=True)
 
     def worker_lost(self, unfinished: Sequence[int]) -> None:
         """A worker process died mid-sweep and broke the pool.  Unlike
         :meth:`worker_died` this is non-fatal — ``unfinished`` goes to a
-        fresh pool — but it still force-dumps the flight recorder so a
-        survived death leaves its post-mortem too."""
+        fresh pool — but the line is forced all the same."""
         pending = list(unfinished)
         self.retries += len(pending)
-        t = self._now()
-        self.recorder.note("sweep.worker_lost", t, retry=pending)
-        dump = self.recorder.dump("sweep.worker_lost", t, retry=pending)
         self._line(f"worker lost; retrying point(s) {pending}", force=True)
-        if dump is not None:
-            self._line(f"flight recorder: {len(dump['notes'])} notes "
-                       f"preserved for post-mortem", force=True)
 
     def interrupted(self, reason: str = "KeyboardInterrupt") -> None:
-        """Sweep parent interrupted (^C / SIGTERM): force a recorder
-        dump so the run-up to the interruption survives."""
-        t = self._now()
-        dump = self.recorder.dump("sweep.interrupted", t, reason=reason)
+        """Sweep parent interrupted (^C / SIGTERM)."""
         self._line(f"interrupted ({reason})", force=True)
-        if dump is not None:
-            self._line(f"flight recorder: {len(dump['notes'])} notes "
-                       f"preserved for post-mortem", force=True)
 
     def finish(self) -> dict:
         t = self._now()
@@ -344,10 +311,6 @@ class SweepTelemetry:
         }
         if self.peak_rss_kib is not None:
             summary["peak_rss_kib"] = self.peak_rss_kib
-        self.recorder.note("sweep.finish", t, **{
-            key: value for key, value in summary.items()
-            if key != "stragglers"
-        })
         straggler_text = (f", stragglers: {self.stragglers}"
                           if self.stragglers else "")
         rss_text = (f", peak worker rss {self.peak_rss_kib / 1024.0:.0f}MiB"
@@ -385,27 +348,32 @@ def run_cached(
     4. the session's hit/miss tally is persisted for
        ``repro cache stats``.
 
-    Results come back in grid order either way.
+    Results come back in grid order either way.  Each entry is keyed on
+    ``point_fn``'s module-qualified name as well as its config, so two
+    sweeps whose point functions store different payloads never serve
+    each other's points.
     """
     if telemetry is not None:
         telemetry.begin(len(configs), jobs)
     if cache is None:
         results = run_map(point_fn, configs, jobs, telemetry=telemetry)
     else:
+        point = f"{point_fn.__module__}.{point_fn.__qualname__}"
         results = [None] * len(configs)
         miss_indices: List[int] = []
         for index, config in enumerate(configs):
-            hit = cache.get(config)
+            hit = cache.get(config, point)
             if hit is not None:
                 results[index] = hit
                 if telemetry is not None:
-                    telemetry.point_cached(index, key=cache.describe(config))
+                    telemetry.point_cached(index,
+                                           key=cache.describe(config, point))
             else:
                 miss_indices.append(index)
 
         def commit(index: int, value) -> None:
             results[index] = value
-            cache.put(configs[index], value)
+            cache.put(configs[index], value, point)
 
         try:
             run_map(point_fn, [configs[index] for index in miss_indices],

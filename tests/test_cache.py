@@ -8,8 +8,10 @@ recomputing them.
 """
 
 import dataclasses
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -22,7 +24,7 @@ from repro.core.results import (
     RecruitmentStats,
     RunResult,
 )
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultSpec
 from repro.parallel import SweepTelemetry, run_cached
 from repro.serialization import (
     config_to_canonical_json,
@@ -237,36 +239,45 @@ class TestRunCached:
         runs = run_cached(fake_point, configs, cache=None)
         assert [run.extra["tag"] for run in runs] == [2, 3]
 
-    def test_warm_sweep_recomputes_nothing(self, tmp_path):
+    # The cache keys each point on its point function as well as its
+    # config, so a warm or resumed sweep reruns the same fake_point; the
+    # failures these tests need are injected one level down, in the
+    # fake_result it calls.
+    def test_warm_sweep_recomputes_nothing(self, tmp_path, monkeypatch):
         configs = [tiny_config(n_devs=n) for n in (2, 3, 4)]
         cache = RunCache(root=str(tmp_path / "c"))
         cold = run_cached(fake_point, configs, cache=cache)
 
-        def explode(config):
+        def explode(n_devs, seed):
             raise AssertionError("warm sweep must not recompute")
 
-        warm = run_cached(explode, configs, cache=RunCache(root=str(tmp_path / "c")))
+        monkeypatch.setattr(sys.modules[__name__], "fake_result", explode)
+        warm = run_cached(fake_point, configs,
+                          cache=RunCache(root=str(tmp_path / "c")))
         assert [result_to_json(run.result) for run in warm] == [
             result_to_json(run.result) for run in cold
         ]
         assert [run.extra for run in warm] == [run.extra for run in cold]
 
-    def test_interrupted_sweep_resumes_from_committed_points(self, tmp_path):
+    def test_interrupted_sweep_resumes_from_committed_points(self, tmp_path,
+                                                             monkeypatch):
         configs = [tiny_config(n_devs=n) for n in (2, 3, 4, 5)]
         root = str(tmp_path / "c")
         executed = []
+        real_result = fake_result
 
-        def flaky(config):
-            if config.n_devs == 4:
+        def flaky(n_devs, seed):
+            if n_devs == 4:
                 raise RuntimeError("simulated interruption")
-            executed.append(config.n_devs)
-            return fake_point(config)
+            executed.append(n_devs)
+            return real_result(n_devs, seed)
 
+        monkeypatch.setattr(sys.modules[__name__], "fake_result", flaky)
         with pytest.raises(RuntimeError):
-            run_cached(flaky, configs, cache=RunCache(root=root))
+            run_cached(fake_point, configs, cache=RunCache(root=root))
         assert executed == [2, 3]  # committed before the interruption
 
-        executed.clear()
+        monkeypatch.undo()
         resumed = run_cached(fake_point, configs, cache=RunCache(root=root))
         assert [run.extra["tag"] for run in resumed] == [2, 3, 4, 5]
         # RunCache.get served 2 and 3; only 4 and 5 were simulated.
@@ -294,14 +305,34 @@ class TestRunCached:
         configs = [tiny_config(n_devs=n) for n in (2, 3, 4, 5)]
         root = str(tmp_path / "c")
         run_cached(fake_point, configs[::2], cache=RunCache(root=root))
-        telemetry = SweepTelemetry(label="t", quiet=True)
+        stream = io.StringIO()
+        telemetry = SweepTelemetry(label="t", stream=stream)
         run_cached(fake_point, configs, jobs=jobs, cache=RunCache(root=root),
                    telemetry=telemetry)
-        notes = telemetry.recorder.recent()
-        assert [note["index"] for note in notes
-                if note["kind"] == "sweep.cache_hit"] == [0, 2]
-        assert sorted(note["index"] for note in notes
-                      if note["kind"] == "sweep.point_done") == [1, 3]
+        lines = stream.getvalue().splitlines()
+        assert [line.split()[2] for line in lines
+                if "cache hit" in line] == ["0:", "2:"]
+        assert sorted(line.split()[2] for line in lines
+                      if "computed in" in line) == ["1:", "3:"]
+
+    def test_point_function_is_part_of_the_key(self, tmp_path):
+        """Figure 2 and the fault sweep build equal configs but store
+        different payloads; neither may serve the other's point."""
+        from repro.core.experiment import run_fault_sweep, run_figure2
+
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="crash", target="dev000", at=5.0),)
+        )
+        cache = RunCache(root=str(tmp_path / "c"))
+        figure2 = dict(devs_grid=(2,), churn_modes=("none",),
+                       base_config=tiny_config(faults=plan))
+        rows = run_figure2(cache=cache, **figure2)
+        sweep = dict(plan=plan, intensity_grid=(1.0,), n_devs=2,
+                     base_config=tiny_config())
+        assert run_fault_sweep(cache=cache, **sweep) == run_fault_sweep(**sweep)
+        telemetry = SweepTelemetry(quiet=True)
+        assert run_figure2(cache=cache, telemetry=telemetry, **figure2) == rows
+        assert telemetry.cached == 1
 
 
 # ----------------------------------------------------------------------

@@ -544,32 +544,23 @@ class TestFaultSweep:
 
 
 # ----------------------------------------------------------------------
-# Flight-recorder integration: injections force a post-mortem dump
+# The trace is the lifecycle record: an injection and its run-up
 # ----------------------------------------------------------------------
-class TestFlightRecorderDump:
-    def test_injected_container_crash_dumps_recorder(self):
+class TestInjectedFaultTrace:
+    def test_injected_container_crash_is_traced(self):
         plan = FaultPlan(
             faults=(FaultSpec(kind="crash", target="dev000", at=5.0),)
         )
-        ddosim = DDoSim(tiny_config(faults=plan), observatory=Observatory())
+        ddosim = DDoSim(tiny_config(faults=plan),
+                        observatory=Observatory.full())
         ddosim.run()
-        dumps = ddosim.obs.recorder.dumps
-        assert dumps, "fault injection must force a flight-recorder dump"
-        crash = next(d for d in dumps if d["reason"] == "fault.crash")
-        assert crash["t"] == pytest.approx(5.0)
-        # The ring captured the run-up: container lifecycle notes plus
-        # the fault.inject landmark itself.
-        kinds = {note["kind"] for note in crash["notes"]}
-        assert "container.spawn" in kinds
-        assert "fault.inject" in kinds
-        inject = next(n for n in crash["notes"] if n["kind"] == "fault.inject")
-        assert inject["fault"] == "crash"
-        assert inject["target"] == "dev000"
-
-    def test_default_observatory_recorder_is_always_on(self):
-        ddosim = DDoSim(tiny_config(), observatory=Observatory())
-        assert ddosim.obs.recorder.enabled
-        ddosim.run()
-        # No faults, no crash: notes accumulate but nothing dumps.
-        assert ddosim.obs.recorder.noted > 0
-        assert ddosim.obs.recorder.dumps == []
+        tracer = ddosim.obs.tracer
+        (inject,) = tracer.events("fault.inject")
+        assert inject.t == pytest.approx(5.0)
+        assert inject.fields == {"kind": "crash", "target": "dev000"}
+        stops = [event for event in tracer.events("container.stop")
+                 if event.fields["container"] == "dev000"]
+        assert stops[0].t == pytest.approx(5.0)
+        # The run-up: dev000 was spawned before it crashed.
+        assert any(event.fields["container"] == "dev000" and event.t < 5.0
+                   for event in tracer.events("container.spawn"))

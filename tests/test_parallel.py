@@ -5,9 +5,11 @@ seeded config), so spreading them across worker processes may never
 change a row.  These tests pin that contract — serial and parallel
 execution produce identical results, in input order — and the pool's
 failure handling: a raising point fails the sweep like the serial path,
-a worker death is retried once, and every death leaves a post-mortem.
+a worker death is retried once, and every death is reported.
 """
 
+import io
+import json
 import multiprocessing
 import os
 import signal
@@ -122,20 +124,30 @@ class TestSupervisedExecution:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
 
-    def test_every_worker_death_dumps_the_flight_recorder(self, tmp_path):
+    def test_every_worker_death_is_reported(self, tmp_path):
+        """A quiet telemetry still prints each death: the first as a
+        retry naming the lost points, the second as the failure."""
+        def worker_lines(stream):
+            return [line for line in stream.getvalue().splitlines()
+                    if line.startswith("[t] worker")]
+
         flag = str(tmp_path / "died-once")
-        telemetry = SweepTelemetry(label="t", quiet=True)
+        stream = io.StringIO()
+        telemetry = SweepTelemetry(label="t", stream=stream, quiet=True)
         telemetry.begin(3, 2)
         run_map(_die_once, [(value, flag) for value in range(3)], jobs=2,
                 telemetry=telemetry)
-        assert [dump["reason"] for dump in telemetry.recorder.dumps] == [
-            "sweep.worker_lost"]
-        assert 1 in telemetry.recorder.dumps[0]["retry"]
+        (lost,) = worker_lines(stream)
+        prefix = "[t] worker lost; retrying point(s) "
+        assert lost.startswith(prefix)
+        assert 1 in json.loads(lost[len(prefix):])
         assert telemetry.finish()["retries"] >= 1
 
-        telemetry = SweepTelemetry(label="t", quiet=True)
+        stream = io.StringIO()
+        telemetry = SweepTelemetry(label="t", stream=stream, quiet=True)
         telemetry.begin(3, 2)
         with pytest.raises(RuntimeError):
             run_map(_two_always_dies, [0, 1, 2], jobs=2, telemetry=telemetry)
-        assert [dump["reason"] for dump in telemetry.recorder.dumps] == [
-            "sweep.worker_lost", "sweep.worker_death"]
+        lost, died = worker_lines(stream)
+        assert lost.startswith(prefix)
+        assert died.startswith("[t] worker died: RuntimeError(")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.core.config import SimulationConfig
 from repro.core.framework import DDoSim
@@ -163,3 +164,33 @@ class TestCli:
             main(["run", "--json", str(out),
                   "--faults", str(tmp_path / "missing-plan.json")])
         assert out.read_text() == "earlier"
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_cut_short_run_writes_its_trace_so_far(self, tmp_path,
+                                                   monkeypatch, error):
+        """A run stopped mid-way by ^C (exit 130) or by an error (which
+        propagates) leaves its trace up to that instant."""
+        stop_at = 20.0
+
+        def stop():
+            raise error
+
+        class StoppedDDoSim(DDoSim):
+            def run(self):
+                self.sim.schedule_at(stop_at, stop)
+                return super().run()
+
+        monkeypatch.setattr(cli, "DDoSim", StoppedDDoSim)
+        trace = tmp_path / "trace.json"
+        argv = ["run", "--devs", "4", "--duration", "10",
+                "--trace-out", str(trace)]
+        if error is KeyboardInterrupt:
+            assert main(argv) == 130
+        else:
+            with pytest.raises(error):
+                main(argv)
+        events = [event for event in json.loads(trace.read_text())["traceEvents"]
+                  if event["ph"] == "i"]
+        assert any(event["name"] == "container.spawn" for event in events)
+        # The last event is the stopping callback's own sched.fire.
+        assert max(event["ts"] for event in events) == stop_at * 1e6
