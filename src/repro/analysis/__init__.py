@@ -7,8 +7,8 @@
   regression DDoS classifier;
 * :mod:`repro.analysis.epidemic` — use case V-A2 ("Testing Mathematical
   Models of Botnet Spread"): run exploit-armed Mirai scanning
-  propagation in DDoSim, read out the infection curve, and compare it
-  against SI/SIR epidemic ODE models.
+  propagation in DDoSim, read out the infection curve, and fit the SI
+  epidemic model to it.
 """
 
 from repro.analysis.detection import (
@@ -21,7 +21,6 @@ from repro.analysis.epidemic import (
     fit_si_model,
     run_propagation_experiment,
     si_curve,
-    sir_curve,
 )
 from repro.analysis.features import FEATURE_NAMES, windows_from_capture
 
@@ -33,7 +32,6 @@ __all__ = [
     "fit_si_model",
     "run_propagation_experiment",
     "si_curve",
-    "sir_curve",
     "train_test_split",
     "windows_from_capture",
 ]

@@ -1,22 +1,16 @@
-"""Deployable defenses for the mitigation-testing use case (§V-A1).
+"""A deployable defense for the mitigation-testing use case (§V-A1).
 
 The paper positions DDoSim as a place to "implement and evaluate defense
 strategies ... measuring their effectiveness in mitigating or preventing
-exploits".  Two defenses are provided, matching its insights:
+exploits".  :class:`PerSourcePolicer` is a token-bucket rate limiter per
+source address installed on TServer's delivery path (the "limit the
+available data rate" insight, applied at the victim edge).  Installing
+it makes the *accepted* attack magnitude collapse while leaving
+well-behaved benign flows untouched.
 
-* :class:`PerSourcePolicer` — a token-bucket rate limiter per source
-  address installed on TServer's delivery path (the "limit the available
-  data rate" insight, applied at the victim edge).  Installing it makes
-  the *accepted* attack magnitude collapse while leaving well-behaved
-  benign flows untouched.
-* :class:`ClassifierFirewall` — wires a trained
-  :class:`repro.analysis.detection.LogisticRegressionClassifier` in front
-  of the sink: traffic windows flagged as attack are dropped.  This is
-  the full detect-then-mitigate loop of ML-based DDoS defenses.
-
-Both wrap the node's UDP default handler (the sink), so they see every
+It wraps the node's UDP default handler (the sink), so it sees every
 datagram the sink would: a packet train is counted member by member and
-accepted or dropped whole.  Installing either raises when no handler is
+accepted or dropped whole.  Installing it raises when no handler is
 running (install after the sink starts — ``DDoSim.run()`` starts it
 before the first event — and not during a ``sink_stall``, which pauses
 the handler chain without removing it, so an uninstall during the stall
@@ -29,9 +23,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
-from repro.analysis.features import datagram_record, window_features
 from repro.netsim.headers import UdpHeader
 from repro.netsim.node import Node
 
@@ -131,57 +122,3 @@ class PerSourcePolicer:
     def drop_ratio(self) -> float:
         total = self.accepted_packets + self.dropped_packets
         return self.dropped_packets / total if total else 0.0
-
-
-class ClassifierFirewall:
-    """Window-based detect-then-drop firewall in front of the sink.
-
-    Every ``window`` seconds it featurizes the traffic seen in the last
-    window with the trained classifier's feature extractor; if the window
-    classifies as attack, the *next* window's unmatched-port UDP traffic
-    is dropped (a reactive mitigation with one-window latency, like
-    real-world pipelines).
-    """
-
-    def __init__(self, node: Node, classifier, window: float = 1.0):
-        self.node = node
-        self.sim = node.sim
-        self.classifier = classifier
-        self.window = window
-        self._current_window: list = []
-        self.blocking = False
-        self.windows_blocked = 0
-        self.packets_dropped = 0
-        self._inner_handler = None
-        self._installed = False
-
-    def install(self) -> None:
-        if self._installed:
-            return
-        self._inner_handler = _sink_handler(self.node)
-        self.node.udp.set_default_handler(self._filter)
-        self.sim.schedule(self.window, self._rotate)
-        self._installed = True
-
-    def _filter(self, packet, udp_header, ip_header) -> None:
-        # One row per packet, as the classifier was trained: a train's
-        # members all arrive now, so they share one row object.
-        record = datagram_record(self.sim.now, packet, udp_header, ip_header)
-        self._current_window.extend([record] * packet.count)
-        if self.blocking:
-            self.packets_dropped += packet.count
-            return
-        self._inner_handler(packet, udp_header, ip_header)
-
-    def _rotate(self) -> None:
-        records, self._current_window = self._current_window, []
-        if records:
-            features = np.array(
-                [window_features(records, self.window)], dtype=float
-            )
-            self.blocking = bool(self.classifier.predict(features)[0])
-        else:
-            self.blocking = False
-        if self.blocking:
-            self.windows_blocked += 1
-        self.sim.schedule(self.window, self._rotate)

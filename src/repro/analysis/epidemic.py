@@ -10,8 +10,7 @@ This module does exactly that end to end:
    infection (the attacker exploits a single Dev), after which the C&C
    orders exploit-armed scanning (:mod:`repro.botnet.scanner`); the C&C's
    registration log is the measured infection curve ``I(t)``;
-2. :func:`si_curve` / :func:`sir_curve` — the SI logistic solution and
-   the SIR ODE system (solved with scipy);
+2. :func:`si_curve` — the SI model's logistic solution;
 3. :func:`fit_si_model` — least-squares fit of the contact rate β to the
    measured curve, with goodness-of-fit.
 
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import odeint
 from scipy.optimize import curve_fit
 
 from repro.botnet.scanner import scan_config_json
@@ -43,26 +41,6 @@ def si_curve(times: np.ndarray, beta: float, population: int, i0: int = 1) -> np
         raise ValueError("population and i0 must be positive")
     growth = np.exp(beta * times)
     return population * i0 * growth / (population - i0 + i0 * growth)
-
-
-def sir_curve(
-    times: np.ndarray, beta: float, gamma: float, population: int, i0: int = 1
-) -> np.ndarray:
-    """Numeric SIR solution; returns the infected component ``I(t)``."""
-    times = np.asarray(times, dtype=float)
-
-    def derivatives(state, _t):
-        susceptible, infected, _recovered = state
-        new_infections = beta * susceptible * infected / population
-        return [
-            -new_infections,
-            new_infections - gamma * infected,
-            gamma * infected,
-        ]
-
-    initial = [population - i0, i0, 0.0]
-    solution = odeint(derivatives, initial, times)
-    return solution[:, 1]
 
 
 @dataclass

@@ -52,9 +52,8 @@ def datagram_record(now: float, packet, udp_header, ip_header) -> CapturedPacket
 
     ``size`` is the wire size the node saw: payload plus the UDP and IP
     headers, which were popped on the way up.  A packet train gives one
-    row for all ``packet.count`` members: callers that need one row per
-    packet repeat it that many times (the classifier firewall) or refuse
-    trains (the detection capture).
+    row for all ``packet.count`` members, so the detection capture,
+    which needs one row per packet, refuses trains.
     """
     return CapturedPacket(
         time=now,

@@ -10,8 +10,8 @@ telnet, to issue volumetric **UDP-PLAIN** floods against TServer
   and of anything bound to TCP 22/23, C&C dial-in, attack execution;
 * :mod:`repro.botnet.cnc` — the C&C server: bot registry, keepalives,
   attack broadcast, telnet operator console;
-* :mod:`repro.botnet.attacks` — flood generators (UDP-PLAIN plus SYN/ACK
-  floods for completeness);
+* :mod:`repro.botnet.attacks` — the UDP-PLAIN flood, per packet, in
+  trains or as one fluid flow;
 * :mod:`repro.botnet.scanner` — self-propagation (exploit-armed scanning)
   used by the §V-A2 epidemic-model use case.
 """

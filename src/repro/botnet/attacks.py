@@ -7,9 +7,8 @@ highest-PPS UDP flood (minimal per-packet work, one connected socket);
 here each bot paces packet emission at its access-link rate — sending any
 faster only overflows its own queue, which the link would drop anyway.
 
-SYN and ACK floods are included for completeness (Mirai supports ~10
-attack vectors); they craft raw TCP segments and are exercised by the
-extension tests and the detection use case.
+Mirai ships about ten attack vectors; this bot build carries only
+udpplain, the one the paper measures.
 
 The per-packet floods run as a :class:`~repro.netsim.process.SimProcess`
 like every payload, but pace their emissions as plain scheduled
@@ -22,17 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.netsim.address import Address, Ipv4Address
-from repro.netsim.headers import (
-    PROTO_TCP,
-    TCP_ACK,
-    TCP_SYN,
-    Ipv4Header,
-    Ipv6Header,
-    TcpHeader,
-    UdpHeader,
-)
+from repro.netsim.headers import Ipv4Header, Ipv6Header, UdpHeader
 from repro.netsim.node import Node
-from repro.netsim.packet import Packet
 from repro.netsim.process import SimFuture, Timeout
 
 #: Mirai's default UDP payload size for udpplain (bytes)
@@ -44,18 +34,12 @@ DEFAULT_PAYLOAD_SIZE = 512
 UDP_IPV6_OVERHEAD = UdpHeader.wire_size + Ipv6Header.wire_size
 
 
-def _ip_wire_size(target: Address) -> int:
-    """IP header bytes for the target's address family."""
-    if isinstance(target, Ipv4Address):
-        return Ipv4Header.wire_size
-    return Ipv6Header.wire_size
-
-
 def _udp_wire_overhead(target: Address) -> int:
     """UDP + IP header bytes per datagram toward ``target``; pacing uses
     the *wire* size so a bot's emission exactly fills its access link
     instead of slowly overflowing its own queue."""
-    return UdpHeader.wire_size + _ip_wire_size(target)
+    ip_header = Ipv4Header if isinstance(target, Ipv4Address) else Ipv6Header
+    return UdpHeader.wire_size + ip_header.wire_size
 
 
 @dataclass
@@ -82,14 +66,14 @@ class _Emitter(SimFuture):
     """A flood's emissions after its first, as scheduled callbacks;
     resolves at the deadline.
 
-    Each callback calls ``send()`` (one datagram, train or segment,
-    counted in the flood's stats) and schedules the next ``interval``
-    later with ``schedule_bare``, where a ``yield Timeout(sim,
-    interval)`` loop built its timer, so every event keeps its
-    ``(time, seq)``.  An emission costs one heap entry and one call
-    instead of a ``Timeout`` future, its event handle and a coroutine
-    resume.  The waiting process is checked before each emission: once
-    it is killed, even at the instant an emission is due, nothing more
+    Each callback calls ``send()`` (one datagram or train, counted in
+    the flood's stats) and schedules the next ``interval`` later with
+    ``schedule_bare``, where a ``yield Timeout(sim, interval)`` loop
+    built its timer, so every event keeps its ``(time, seq)``.  An
+    emission costs one heap entry and one call instead of a
+    ``Timeout`` future, its event handle and a coroutine resume.  The
+    waiting process is checked before each emission: once it is
+    killed, even at the instant an emission is due, nothing more
     is sent, as :meth:`SimProcess._resume` ignores a wakeup after
     ``kill()``.  An error from ``send()`` fails the emitter, so it is
     raised inside the flood's generator.
@@ -250,54 +234,3 @@ def udp_plain_flow(
         stats.packets_sent = flow.offered_packets
         stats.bytes_sent = flow.offered_packets * wire_size
     return stats
-
-
-def syn_flood(
-    node: Node,
-    target: Address,
-    target_port: int,
-    duration: float,
-    rate_bps: Optional[float] = None,
-    stats: Optional[AttackStats] = None,
-):
-    """Generator: raw SYN flood (40-byte segments, rotating source ports)."""
-    return (yield from _tcp_flag_flood(
-        node, target, target_port, duration, TCP_SYN, rate_bps, stats
-    ))
-
-
-def ack_flood(
-    node: Node,
-    target: Address,
-    target_port: int,
-    duration: float,
-    rate_bps: Optional[float] = None,
-    stats: Optional[AttackStats] = None,
-):
-    """Generator: raw ACK flood."""
-    return (yield from _tcp_flag_flood(
-        node, target, target_port, duration, TCP_ACK, rate_bps, stats
-    ))
-
-
-def _tcp_flag_flood(node, target, target_port, duration, flags, rate_bps, stats):
-    if stats is None:
-        stats = AttackStats()
-    rate = rate_bps if rate_bps is not None else _device_rate_bps(node)
-    segment_size = TcpHeader.wire_size + _ip_wire_size(target)
-    interval = max(segment_size * 8.0 / rate, 1e-4)
-    sim = node.sim
-    sport = 1024
-    seq = 0
-
-    def send():
-        nonlocal sport, seq
-        packet = Packet(created_at=sim.now)
-        packet.add_header(TcpHeader(sport, target_port, seq=seq, flags=flags))
-        node.ip.send(packet, target, PROTO_TCP)
-        stats.packets_sent += 1
-        stats.bytes_sent += segment_size
-        sport = 1024 + (sport - 1023) % 60000
-        seq += 1
-
-    return (yield from _paced(sim, stats, duration, interval, send))

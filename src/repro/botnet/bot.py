@@ -24,21 +24,7 @@ from typing import List
 
 from repro.binaries.binfmt import BinaryImage, register_program
 from repro.binaries.busybox import RIVAL_PROCESS_NAMES
-from repro.botnet.attacks import (
-    AttackStats,
-    ack_flood,
-    syn_flood,
-    udp_plain_flood,
-    udp_plain_flow,
-)
-
-#: attack vectors this bot build supports (Mirai ships ~10; the paper's
-#: experiment series uses udpplain)
-ATTACK_VECTORS = {
-    "udpplain": udp_plain_flood,
-    "syn": syn_flood,
-    "ack": ack_flood,
-}
+from repro.botnet.attacks import AttackStats, udp_plain_flood, udp_plain_flow
 from repro.netsim.address import AddressError, Ipv4Address, Ipv6Address
 from repro.netsim.process import ProcessKilled, SimProcess
 
@@ -215,8 +201,9 @@ def _dispatch(ctx, sock, line: str, attack_processes: List[SimProcess]) -> None:
         payload_size = int(arguments[4]) if len(arguments) > 4 else 512
         train = int(arguments[5]) if len(arguments) > 5 else 1
         flow_mode = arguments[6] if len(arguments) > 6 else "off"
-        vector = ATTACK_VECTORS.get(method)
-        if vector is None:
+        # Mirai ships ~10 vectors; this build floods only udpplain,
+        # the one the paper measures.
+        if method != "udpplain":
             ctx.log(f"mirai: unsupported attack {method!r}")
             return
         stats = AttackStats()
@@ -225,23 +212,19 @@ def _dispatch(ctx, sock, line: str, attack_processes: List[SimProcess]) -> None:
         target = _parse_address(target_text)
         port = int(port_text)
         duration = float(duration_text)
-        src_port = None
-        if method == "udpplain":
-            # Allocated here, not in the flood, so attack.start can
-            # name the train's (source address, source port).
-            src_port = node.udp.allocate_ephemeral_port()
-            if flow_mode != "off" and ctx.sim.flows is not None:
-                # Fluid datapath: the flood becomes one FluidFlow on the
-                # engine instead of per-packet/train events.
-                flood = udp_plain_flow(node, target, port, duration,
-                                       payload_size=payload_size,
-                                       stats=stats, src_port=src_port)
-            else:
-                flood = vector(node, target, port, duration,
-                               payload_size=payload_size, stats=stats,
-                               src_port=src_port, train=train)
+        # Allocated here, not in the flood, so attack.start can name the
+        # train's (source address, source port).
+        src_port = node.udp.allocate_ephemeral_port()
+        if flow_mode != "off" and ctx.sim.flows is not None:
+            # Fluid datapath: the flood becomes one FluidFlow on the
+            # engine instead of per-packet/train events.
+            flood = udp_plain_flow(node, target, port, duration,
+                                   payload_size=payload_size,
+                                   stats=stats, src_port=src_port)
         else:
-            flood = vector(node, target, port, duration, stats=stats)
+            flood = udp_plain_flood(node, target, port, duration,
+                                    payload_size=payload_size, stats=stats,
+                                    src_port=src_port, train=train)
         tracer = ctx.sim.obs.tracer
         if tracer.enabled:
             address = str(ctx.netns.address(isinstance(target, Ipv6Address)))

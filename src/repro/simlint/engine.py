@@ -17,15 +17,12 @@ Escape hatches keep the gate honest rather than noisy:
 * **suppression comments** (``# simlint: disable=SIM101``) — for the
   handful of intentional violations elsewhere.  Suppressions are part
   of the diff, so every exception is reviewed like any other code.
-* ``--diff BASE`` — lint only files changed against a git ref, the
-  pre-commit fast path.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import subprocess
 from typing import Iterable, List, Optional, Sequence
 
 # importing the check modules fills the rule registry
@@ -115,37 +112,3 @@ def lint_paths(
                     (violation.path, violation.line, violation.col,
                      violation.code))
     return violations
-
-
-# ----------------------------------------------------------------------
-# --diff: restrict the walk to files changed against a git ref
-# ----------------------------------------------------------------------
-def changed_python_files(base: str, paths: Iterable[str]) -> List[str]:
-    """The subset of ``paths``' python files changed vs git ref ``base``.
-
-    Deleted files drop out naturally (they no longer exist on disk).
-    Raises ``RuntimeError`` when git cannot resolve the ref — a silent
-    empty list would make the pre-commit hook vacuously green.
-    """
-    proc = subprocess.run(
-        ["git", "diff", "--name-only", "-z", base, "--"],
-        capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"git diff against {base!r} failed: {proc.stderr.strip()}"
-        )
-    root_proc = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        capture_output=True, text=True,
-    )
-    root = root_proc.stdout.strip() or os.getcwd()
-    changed = {
-        os.path.abspath(os.path.join(root, name))
-        for name in proc.stdout.split("\0")
-        if name.endswith(".py")
-    }
-    return [
-        filename for filename in iter_python_files(paths)
-        if os.path.abspath(filename) in changed and os.path.exists(filename)
-    ]

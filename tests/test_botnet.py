@@ -223,33 +223,3 @@ class TestFloodGenerators:
         SimProcess(sim, flood, name="flood")
         sim.run(until=30.0)
         assert 45 <= stats.packets_sent <= 55  # 43840/(548*8)=10 pkt/s * 5 s
-
-    def test_syn_flood_emits_raw_segments(self, sim, two_hosts):
-        from repro.botnet.attacks import syn_flood
-
-        node_a, node_b, star = two_hosts
-        stats = AttackStats()
-        SimProcess(
-            sim,
-            syn_flood(node_a, star.address_of(node_b), 80, duration=2.0,
-                      rate_bps=80_000, stats=stats),
-            name="syn",
-        )
-        sim.run(until=10.0)
-        assert stats.packets_sent > 0
-        # Victim answered with RSTs (no listener): the reflection signature.
-        assert node_b.tcp.rst_sent > 0
-
-    def test_ack_flood_runs(self, sim, two_hosts):
-        from repro.botnet.attacks import ack_flood
-
-        node_a, node_b, star = two_hosts
-        stats = AttackStats()
-        SimProcess(
-            sim,
-            ack_flood(node_a, star.address_of(node_b), 80, duration=1.0,
-                      rate_bps=80_000, stats=stats),
-            name="ack",
-        )
-        sim.run(until=10.0)
-        assert stats.packets_sent > 0

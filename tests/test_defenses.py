@@ -1,21 +1,12 @@
-"""Tests for the deployable defenses (policer, classifier firewall)."""
+"""Tests for the deployable defense (the per-source policer)."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.defenses import ClassifierFirewall, PerSourcePolicer
+from repro.analysis.defenses import PerSourcePolicer
 from repro.core import DDoSim, SimulationConfig
 from repro.faults import FaultPlan, FaultSpec
 from repro.netsim.node import Node
-from repro.netsim.simulator import Simulator
 from repro.netsim.sink import PacketSink
-from repro.netsim.topology import StarInternet
-
-#: parametrizes a test over both defenses, built on a given node
-each_defense = pytest.mark.parametrize("make", [
-    lambda node: PerSourcePolicer(node),
-    lambda node: ClassifierFirewall(node, classifier=None),
-], ids=["policer", "firewall"])
 
 
 class TestPerSourcePolicerUnit:
@@ -116,9 +107,9 @@ class TestPacketTrains:
         sink.start()
         return sender, victim, sink
 
-    def _send_train(self, sim, star, sender, victim, at=0.0):
+    def _send_train(self, sim, star, sender, victim):
         sim.schedule(
-            at, sender.udp.send_train, star.address_of(victim), 7,
+            0.0, sender.udp.send_train, star.address_of(victim), 7,
             self.MEMBERS, 9, self.PAYLOAD,
         )
 
@@ -145,69 +136,16 @@ class TestPacketTrains:
             self.PAYLOAD + 8 + 40  # UDP + IPv6 headers
         )
 
-    def test_firewall_counts_every_dropped_member(self, sim, star):
-        sender, victim, sink = self._victim(sim, star)
-
-        class AlwaysAttack:
-            def predict(self, X):
-                return np.array([1])
-
-        firewall = ClassifierFirewall(victim, AlwaysAttack(), window=1.0)
-        firewall.install()
-        self._send_train(sim, star, sender, victim, at=0.0)  # window 1 passes
-        self._send_train(sim, star, sender, victim, at=1.5)  # blocked
-        sim.run(until=3.0)
-        assert sink.total_packets == self.MEMBERS
-        assert firewall.packets_dropped == self.MEMBERS
-
-    def test_firewall_features_a_train_as_its_members(self):
-        """The classifier was trained on one row per packet, so a train
-        must featurize like the same packets sent one by one."""
-
-        class Recording:
-            def __init__(self):
-                self.features = []
-
-            def predict(self, X):
-                self.features.append(X[0].tolist())
-                return np.array([0])
-
-        def window_features_of(send):
-            sim = Simulator()
-            star = StarInternet(sim)
-            sender, victim, sink = self._victim(sim, star)
-            classifier = Recording()
-            ClassifierFirewall(victim, classifier, window=1.0).install()
-            send(sim, star, sender, victim)
-            sim.run(until=1.5)
-            assert sink.total_packets == self.MEMBERS
-            return classifier.features
-
-        def one_train(sim, star, sender, victim):
-            self._send_train(sim, star, sender, victim)
-
-        def single_datagrams(sim, star, sender, victim):
-            for index in range(self.MEMBERS):
-                sim.schedule(
-                    index * 0.01, sender.udp.send_datagram,
-                    None, star.address_of(victim), 7, 9, self.PAYLOAD,
-                )
-
-        train = window_features_of(one_train)
-        assert train == window_features_of(single_datagrams)
-        assert train[0][0] == self.MEMBERS  # packet_rate over a 1 s window
-
 
 class TestFluidFloodIsRefused:
     """Under ``flood_flow="all"`` the sink is credited analytically and
     the flood never reaches a defense on the UDP handler."""
 
-    @each_defense
-    def test_install_raises(self, make):
+    def test_install_raises(self):
         ddosim = DDoSim(SimulationConfig(n_devs=2, seed=1, flood_flow="all"))
-        defense = make(ddosim.tserver.node)
+        policer = PerSourcePolicer(ddosim.tserver.node)
         with pytest.raises(ValueError, match="flood_flow"):
-            defense.install()
+            policer.install()
 
     def test_hybrid_flood_still_installs(self):
         ddosim = DDoSim(SimulationConfig(n_devs=2, seed=1, flood_flow="auto"))
@@ -219,12 +157,11 @@ class TestSinkHandlerChain:
     """A defense wraps the sink's UDP handler; the chain must survive a
     sink stall, and there must be a handler to wrap at all."""
 
-    @each_defense
-    def test_install_before_the_sink_starts_raises(self, make):
+    def test_install_before_the_sink_starts_raises(self):
         ddosim = DDoSim(SimulationConfig(n_devs=2, seed=1)).build()
-        defense = make(ddosim.tserver.node)
+        policer = PerSourcePolicer(ddosim.tserver.node)
         with pytest.raises(ValueError, match="no UDP default handler"):
-            defense.install()
+            policer.install()
 
     def test_policer_survives_a_sink_stall(self):
         plan = FaultPlan(faults=(
@@ -296,55 +233,3 @@ class TestPolicerAgainstRealAttack:
         assert undefended.attack.received_bytes > 0
         assert accepted < undefended.attack.received_bytes * 0.35
         assert policer.dropped_packets > 0
-
-
-class TestClassifierFirewall:
-    def test_blocks_after_detected_window(self, sim, star):
-        sender = Node(sim, "sender")
-        victim = Node(sim, "victim")
-        star.attach_host(sender, 10e6)
-        star.attach_host(victim, 10e6)
-        sink = PacketSink(victim)
-        sink.start()
-
-        class AlwaysAttack:
-            def predict(self, X):
-                return np.array([1])
-
-        firewall = ClassifierFirewall(victim, AlwaysAttack(), window=1.0)
-        firewall.install()
-        for index in range(40):
-            sim.schedule(
-                index * 0.1,
-                sender.udp.send_datagram,
-                None, star.address_of(victim), 7, 9, 500,
-            )
-        sim.run(until=5.0)
-        # First window passes (no verdict yet), later windows are blocked.
-        assert firewall.windows_blocked >= 2
-        assert firewall.packets_dropped > 0
-        assert sink.total_packets < 40
-
-    def test_benign_verdict_keeps_traffic_flowing(self, sim, star):
-        sender = Node(sim, "sender")
-        victim = Node(sim, "victim")
-        star.attach_host(sender, 10e6)
-        star.attach_host(victim, 10e6)
-        sink = PacketSink(victim)
-        sink.start()
-
-        class AlwaysBenign:
-            def predict(self, X):
-                return np.array([0])
-
-        firewall = ClassifierFirewall(victim, AlwaysBenign(), window=1.0)
-        firewall.install()
-        for index in range(20):
-            sim.schedule(
-                index * 0.2,
-                sender.udp.send_datagram,
-                None, star.address_of(victim), 7, 9, 500,
-            )
-        sim.run(until=6.0)
-        assert sink.total_packets == 20
-        assert firewall.packets_dropped == 0

@@ -3,7 +3,7 @@ replaced.
 
 The reference below is the per-packet flood as it was written before the
 emitter: a generator that sends and then sleeps on a fresh ``Timeout``
-per datagram, train or segment.  The emitter must be indistinguishable
+per datagram or train.  The emitter must be indistinguishable
 from it at every observable: what reaches the sink, what the bot counts,
 how many events run and how many are left queued — also when the flood
 is killed, including at the very instant an emission is due.  The one
@@ -16,15 +16,10 @@ from hypothesis import given, settings, strategies as st
 from repro.botnet.attacks import (
     AttackStats,
     _device_rate_bps,
-    _ip_wire_size,
     _udp_wire_overhead,
-    ack_flood,
-    syn_flood,
     udp_plain_flood,
 )
-from repro.netsim.headers import PROTO_TCP, TCP_ACK, TCP_SYN, TcpHeader
 from repro.netsim.node import Node
-from repro.netsim.packet import Packet
 from repro.netsim.process import SimProcess, Timeout
 from repro.netsim.simulator import Simulator
 from repro.netsim.sink import PacketSink
@@ -72,56 +67,7 @@ def reference_udp_plain_flood(node, target, target_port, duration,
     return stats
 
 
-def reference_tcp_flag_flood(node, target, target_port, duration, flags,
-                             rate_bps, stats):
-    if stats is None:
-        stats = AttackStats()
-    rate = rate_bps if rate_bps is not None else _device_rate_bps(node)
-    segment_size = TcpHeader.wire_size + _ip_wire_size(target)
-    interval = max(segment_size * 8.0 / rate, 1e-4)
-    sim = node.sim
-    stats.started_at = sim.now
-    deadline = sim.now + duration
-    sport = 1024
-    seq = 0
-    while sim.now < deadline:
-        packet = Packet(created_at=sim.now)
-        packet.add_header(TcpHeader(sport, target_port, seq=seq, flags=flags))
-        node.ip.send(packet, target, PROTO_TCP)
-        stats.packets_sent += 1
-        stats.bytes_sent += segment_size
-        sport = 1024 + (sport - 1023) % 60000
-        seq += 1
-        yield Timeout(sim, interval)
-    stats.finished_at = sim.now
-    return stats
-
-
-def flood(implementation, vector, node, target, duration, payload, rate,
-          train, stats):
-    """The flood generator of one implementation ('emitter' or
-    'reference') for one vector."""
-    if vector == "udpplain":
-        make = udp_plain_flood if implementation == "emitter" \
-            else reference_udp_plain_flood
-        return make(node, target, 7777, duration, payload_size=payload,
-                    rate_bps=rate, stats=stats, src_port=4000, train=train)
-    if implementation == "emitter":
-        make = syn_flood if vector == "syn" else ack_flood
-        return make(node, target, 80, duration, rate_bps=rate, stats=stats)
-    flags = TCP_SYN if vector == "syn" else TCP_ACK
-    return reference_tcp_flag_flood(node, target, 80, duration, flags, rate,
-                                    stats)
-
-
-def emission_interval(vector, target, payload, rate, train):
-    """The time between two emissions, computed as the flood does."""
-    if vector == "udpplain":
-        return (payload + _udp_wire_overhead(target)) * 8.0 / rate * train
-    return max((TcpHeader.wire_size + _ip_wire_size(target)) * 8.0 / rate, 1e-4)
-
-
-def run_flood(implementation, vector="udpplain", *, duration, payload=512,
+def run_flood(implementation, *, duration, payload=512,
               rate=100e3, train=1, start=0.0, kill_at=None,
               kill_emission=None, kill_first=True, until=None):
     """One bot flooding a sink across a two-host star.
@@ -148,15 +94,19 @@ def run_flood(implementation, vector="udpplain", *, duration, payload=512,
     processes = []
     killed_at = []
     if kill_emission is not None:
-        interval = emission_interval(vector, target, payload, rate, train)
+        # the time between two emissions, computed as the flood does
+        interval = (payload + _udp_wire_overhead(target)) * 8.0 / rate * train
         kill_at = start
         for _ in range(kill_emission):
             kill_at += interval
 
+    make = udp_plain_flood if implementation == "emitter" \
+        else reference_udp_plain_flood
+
     def start_flood():
         processes.append(SimProcess(
-            sim, flood(implementation, vector, bot, target, duration, payload,
-                       rate, train, stats),
+            sim, make(bot, target, 7777, duration, payload_size=payload,
+                      rate_bps=rate, stats=stats, src_port=4000, train=train),
             name="flood",
         ))
 
@@ -182,7 +132,6 @@ def run_flood(implementation, vector="udpplain", *, duration, payload=512,
         "pending_events": sim.pending_events,
         "sink": sink.fingerprint_state(),
         "flow_records": sink.flow_records(),
-        "rst_sent": victim.tcp.rst_sent,
         "process": (process.done, type(process.error).__name__,
                     process.value is stats),
         "killed_at": killed_at,
@@ -233,11 +182,9 @@ class TestPinnedKill:
 
 @st.composite
 def flood_cases(draw):
-    vector = draw(st.sampled_from(["udpplain", "syn", "ack"]))
     rate = draw(st.floats(min_value=5e3, max_value=4e5))
     payload = draw(st.integers(min_value=0, max_value=1400))
-    train = draw(st.sampled_from([1, draw(st.integers(2, 16))])) \
-        if vector == "udpplain" else 1
+    train = draw(st.sampled_from([1, draw(st.integers(2, 16))]))
     duration = draw(st.floats(min_value=0.0, max_value=4.0))
     start = draw(st.sampled_from([0.0, draw(st.floats(0.0, 1.0))]))
     kill = draw(st.sampled_from(["none", "emission", "anytime"]))
@@ -248,7 +195,7 @@ def flood_cases(draw):
         kill_at = start + draw(st.floats(min_value=0.0, max_value=5.0))
     until = draw(st.sampled_from(
         [None, start + draw(st.floats(min_value=0.0, max_value=6.0))]))
-    return dict(vector=vector, rate=rate, payload=payload, train=train,
+    return dict(rate=rate, payload=payload, train=train,
                 duration=duration, start=start, kill_at=kill_at,
                 kill_emission=kill_emission, kill_first=draw(st.booleans()),
                 until=until)

@@ -91,6 +91,12 @@ def _boom(value):
     return value
 
 
+def _interrupt(value):
+    if value == 1:
+        raise KeyboardInterrupt
+    return value
+
+
 def _boom_beside_a_slow_point(value):
     if value == 0:
         time.sleep(60)
@@ -151,3 +157,16 @@ class TestSupervisedExecution:
         lost, died = worker_lines(stream)
         assert lost.startswith(prefix)
         assert died.startswith("[t] worker died: RuntimeError(")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("point, error, line", [
+        (_interrupt, KeyboardInterrupt, "[t] interrupted (KeyboardInterrupt)"),
+        (_boom, ValueError, "[t] worker died: ValueError('bad point')"),
+    ], ids=["interrupt", "raise"])
+    def test_a_failed_sweep_says_so_once_at_any_jobs(self, jobs, point, error,
+                                                     line):
+        stream = io.StringIO()
+        telemetry = SweepTelemetry(label="t", stream=stream, quiet=True)
+        with pytest.raises(error):
+            run_map(point, [0, 1], jobs=jobs, telemetry=telemetry)
+        assert stream.getvalue().splitlines() == [line]

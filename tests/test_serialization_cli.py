@@ -131,6 +131,8 @@ class TestCli:
         ["obs"],
         ["lint", "--baseline", "findings.json"],
         ["lint", "--write-baseline", "findings.json"],
+        ["lint", "--fix"],
+        ["lint", "--diff", "HEAD"],
     ])
     def test_retired_commands_and_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit):
@@ -164,6 +166,15 @@ class TestCli:
             main(["run", "--json", str(out),
                   "--faults", str(tmp_path / "missing-plan.json")])
         assert out.read_text() == "earlier"
+
+    def test_failed_run_leaves_no_new_output_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            main(["run", "--devs", "2",
+                  "--json", str(tmp_path / "r.json"),
+                  "--metrics-out", str(tmp_path / "m.json"),
+                  "--trace-out", str(tmp_path / "t.json"),
+                  "--faults", str(tmp_path / "missing-plan.json")])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_cut_short_run_writes_its_trace_so_far(self, tmp_path,

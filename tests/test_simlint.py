@@ -25,7 +25,6 @@ from repro.simlint import (
     all_codes,
     filter_codes,
     first_divergence,
-    fix_source,
     format_json,
     format_text,
     in_clock_allowlist,
@@ -457,137 +456,6 @@ class TestSim108UnusedImport:
     def test_stacked_noqa_then_simlint_directive(self):
         source = "import plugin  # noqa: F401  # simlint: disable=SIM108\n"
         assert lint_source(source, path="mod.py") == []
-
-
-# ----------------------------------------------------------------------
-# --fix: the autofixer (SIM104 + SIM108)
-# ----------------------------------------------------------------------
-class TestAutofix:
-    def test_mutable_default_rewritten_to_none_sentinel(self):
-        source = (
-            "def f(a, items=[]):\n"
-            "    items.append(a)\n"
-            "    return items\n"
-        )
-        fixed, n = fix_source(source, path="mod.py")
-        assert n == 1
-        assert "items=None" in fixed
-        assert "if items is None:" in fixed
-        assert "items = []" in fixed
-        assert codes_of(lint_source(fixed, path="mod.py")) == []
-
-    def test_rebuild_lands_after_docstring(self):
-        source = (
-            'def f(items=[]):\n'
-            '    """Doc line."""\n'
-            '    return items\n'
-        )
-        fixed, _ = fix_source(source, path="mod.py")
-        lines = fixed.splitlines()
-        assert lines[1] == '    """Doc line."""'
-        assert lines[2] == "    if items is None:"
-
-    def test_kwonly_and_call_defaults(self):
-        source = (
-            "def f(*, cache={}, q=deque()):\n"
-            "    return cache, q\n"
-        )
-        fixed, n = fix_source(source, path="mod.py")
-        assert n == 2
-        assert "cache=None" in fixed and "q=None" in fixed
-        assert "cache = {}" in fixed and "q = deque()" in fixed
-
-    def test_unused_alias_dropped_keeping_the_rest(self):
-        source = "from collections import deque, OrderedDict\nq = deque()\n"
-        fixed, n = fix_source(source, path="mod.py")
-        assert n == 1
-        assert fixed.splitlines()[0] == "from collections import deque"
-
-    def test_fully_unused_statement_deleted(self):
-        source = "import os\nx = 1\n"
-        fixed, n = fix_source(source, path="mod.py")
-        assert n == 1
-        assert fixed == "x = 1\n"
-
-    def test_suppressed_import_survives_fix(self):
-        source = "import plugin  # simlint: disable=SIM108\nx = 1\n"
-        fixed, n = fix_source(source, path="mod.py")
-        assert n == 0
-        assert fixed == source
-
-    def test_type_checking_import_survives_fix(self):
-        source = (
-            "from typing import TYPE_CHECKING\n"
-            "if TYPE_CHECKING:\n"
-            "    from heavy import Thing\n"
-            "x = 1\n"
-        )
-        fixed, n = fix_source(source, path="mod.py")
-        assert (fixed, n) == (source, 0)
-
-    def test_fix_is_idempotent(self):
-        source = (
-            "import os\n"
-            "import sys\n"
-            "def f(a, items=[], *, cache={}):\n"
-            "    items.append(a)\n"
-            "    return items, cache, sys.argv\n"
-        )
-        once, n1 = fix_source(source, path="mod.py")
-        twice, n2 = fix_source(once, path="mod.py")
-        assert n1 == 3
-        assert n2 == 0
-        assert twice == once
-
-    def test_unparsable_source_returned_unchanged(self):
-        source = "def broken(:\n"
-        assert fix_source(source, path="mod.py") == (source, 0)
-
-    def test_multiline_import_keeps_layout_and_comments(self):
-        source = (
-            "if True:\n"
-            "    from collections import (  # stdlib\n"
-            "        # containers\n"
-            "        OrderedDict,\n"
-            "        deque,  # the work queue\n"
-            "        namedtuple as nt,\n"
-            "        # helpers\n"
-            "        ChainMap,\n"
-            "    )  # noqa\n"
-            "q, p = deque(), nt\n"
-        )
-        once, n1 = fix_source(source, path="mod.py")
-        twice, n2 = fix_source(once, path="mod.py")
-        assert (n1, n2) == (2, 0)
-        assert twice == once == (
-            "if True:\n"
-            "    from collections import (  # stdlib\n"
-            "        # containers\n"
-            "        deque,  # the work queue\n"
-            "        namedtuple as nt,\n"
-            "        # helpers\n"
-            "    )  # noqa\n"
-            "q, p = deque(), nt\n"
-        )
-        assert codes_of(lint_source(once, path="mod.py")) == []
-
-    def test_single_line_import_keeps_trailing_comment(self):
-        source = ("from collections import deque, OrderedDict  # hot path\n"
-                  "q = deque()\n")
-        fixed, n = fix_source(source, path="mod.py")
-        assert n == 1
-        assert fixed.splitlines()[0] == "from collections import deque  # hot path"
-
-    def test_fix_paths_rewrites_on_disk(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("import os\nx = 1\n")
-        from repro.simlint import fix_paths
-
-        total, changed = fix_paths([str(tmp_path)])
-        assert total == 1
-        assert changed == [str(target)]
-        assert target.read_text() == "x = 1\n"
-        assert fix_paths([str(tmp_path)]) == (0, [])
 
 
 # ----------------------------------------------------------------------
